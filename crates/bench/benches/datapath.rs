@@ -3,7 +3,8 @@
 //!
 //! * `broadcast_encode/*` — encoding one protocol message for `n − 1`
 //!   peers: the old per-peer re-encode vs the pipeline's encode-once
-//!   (one `encode_into` + reference-counted `Bytes` clones).
+//!   (one encode into an owned buffer moved into `Bytes`, then
+//!   reference-counted clones).
 //! * `frame_mac/*` — the HMAC-SHA256 session MAC over frame payloads of
 //!   realistic sizes, including the amortized per-drain shape (one MAC
 //!   over a k-message batch vs k MACs over single messages).
@@ -12,17 +13,17 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fastbft_core::message::{AckMsg, Message};
 use fastbft_crypto::session::SessionMac;
-use fastbft_crypto::KeyDirectory;
+use fastbft_crypto::{value_digest, KeyDirectory};
 use fastbft_net::frame::encode_batch_payload;
 use fastbft_smr::SlotMessage;
-use fastbft_types::wire::{encode_into, to_bytes};
+use fastbft_types::wire::{to_bytes, Encode};
 use fastbft_types::{Value, View};
 
 fn ack(slot: u64) -> SlotMessage {
     SlotMessage::Consensus {
         slot,
         inner: Message::Ack(AckMsg {
-            value: Value::from_u64(7),
+            digest: *value_digest(&Value::from_u64(7)),
             view: View(1),
             share: None,
         }),
@@ -45,11 +46,14 @@ fn bench_broadcast_encode(c: &mut Criterion) {
             });
         });
         group.bench_function(format!("encode_once/n{n}"), |b| {
-            let mut scratch = Vec::new();
+            let hint = to_bytes(&msg).len();
             b.iter(|| {
-                // The pipeline's shape: one encoding, n − 1 Arc bumps.
-                encode_into(std::hint::black_box(&msg), &mut scratch);
-                let shared = Bytes::copy_from_slice(&scratch);
+                // The pipeline's shape: one encoding into a buffer sized by
+                // the previous message, moved (not copied) into `Bytes`,
+                // then n − 1 Arc bumps.
+                let mut buf = Vec::with_capacity(hint);
+                std::hint::black_box(&msg).encode(&mut buf);
+                let shared = Bytes::from(buf);
                 let mut total = 0usize;
                 for _ in 0..n - 1 {
                     total += shared.clone().len();

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fastbft_core::certs::ProgressCert;
 use fastbft_core::message::{AckMsg, Message, ProposeMsg};
-use fastbft_crypto::{KeyDirectory, SignatureSet};
+use fastbft_crypto::{value_digest, KeyDirectory, SignatureSet};
 use fastbft_types::wire::{from_bytes, to_bytes};
 use fastbft_types::{Value, View};
 
@@ -12,7 +12,7 @@ fn bench_wire(c: &mut Criterion) {
     let (pairs, _) = KeyDirectory::generate(8, 1);
     let x = Value::from_u64(7);
     let ack = Message::Ack(AckMsg {
-        value: x.clone(),
+        digest: *value_digest(&x),
         view: View(3),
         share: None,
     });

@@ -50,8 +50,8 @@ fn main() {
         "slow path: three message delays when t < failures <= f"
     );
     assert!(
-        report.stats.by_kind.contains_key("sig"),
-        "signature shares sent"
+        report.stats.by_kind.contains_key("ack"),
+        "signature shares sent (they ride the acks)"
     );
     assert!(
         report.stats.by_kind.contains_key("Commit"),

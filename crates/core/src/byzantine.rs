@@ -13,18 +13,19 @@
 //! * silence and crashes are modeled by [`fastbft_sim::ScriptedActor::silent`]
 //!   and [`fastbft_sim::Simulation::schedule_crash`] respectively.
 
-use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
+use fastbft_crypto::{value_digest, KeyDirectory, KeyPair, Signature, SignatureSet};
 use fastbft_sim::{Actor, Effects, SimDuration, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::certs::{CommitCert, ProgressCert, SignedVote, VoteData};
+use crate::certs::{ProgressCert, SignedVote, VoteData};
 use crate::message::{
-    AckMsg, CertAckMsg, CommitMsg, Message, ProposeMsg, SigShareMsg, VoteMsg, WishMsg,
+    AckMsg, CertAckMsg, CommitMsg, Message, ProposeMsg, SigShareMsg, ValueRequestMsg, VoteMsg,
+    WishMsg,
 };
-use crate::payload::{ack_payload, certack_payload, propose_payload};
+use crate::payload::{ack_statement, certack_statement, propose_payload};
 
 /// A Byzantine `leader(1)` that equivocates: proposes `value_a` to the
 /// processes in `recipients_a` and `value_b` to everyone else, both with
@@ -130,47 +131,56 @@ impl RandomByzantine {
 
     fn random_message(&mut self, n: usize) -> Message {
         let value = self.random_value();
+        let digest = *value_digest(&value);
         let view = self.random_view();
-        match self.rng.gen_range(0..8) {
+        match self.rng.gen_range(0..10) {
             0 => {
                 // Exercise the ack-carried share path too: no share, a
                 // valid own share, or a share whose claimed signer doesn't
                 // match the sender (receivers must drop that one).
                 let share = match self.rng.gen_range(0..3) {
                     0 => None,
-                    1 => Some(self.keys.sign(&ack_payload(&value, view))),
+                    1 => Some(self.keys.sign(&ack_statement(&digest, view))),
                     _ => Some(Signature::from_parts(
                         self.random_target(n),
-                        *self.keys.sign(&ack_payload(&value, view)).tag(),
+                        *self.keys.sign(&ack_statement(&digest, view)).tag(),
                     )),
                 };
-                Message::Ack(AckMsg { value, view, share })
+                Message::Ack(AckMsg {
+                    digest,
+                    view,
+                    share,
+                })
             }
             1 => Message::Wish(WishMsg { view }),
             2 => {
-                let sig = self.keys.sign(&ack_payload(&value, view));
-                Message::SigShare(SigShareMsg { value, view, sig })
+                let sig = self.keys.sign(&ack_statement(&digest, view));
+                Message::SigShare(SigShareMsg { digest, view, sig })
             }
             3 => {
                 // A commit certificate made only of our own signature: it
                 // will fail quorum verification — receivers must reject it.
-                let sigs: SignatureSet = [self.keys.sign(&ack_payload(&value, view))]
+                let sigs: SignatureSet = [self.keys.sign(&ack_statement(&digest, view))]
                     .into_iter()
                     .collect();
-                Message::Commit(CommitMsg {
-                    cert: CommitCert { value, view, sigs },
-                })
+                Message::Commit(CommitMsg { digest, view, sigs })
             }
-            4 => {
-                // A propose: only valid if we actually lead `view` and the
-                // certificate checks out (Genesis only works for view 1).
+            4 | 8 => {
+                // A propose, or the same relayed as a value reply: only
+                // valid if we actually lead `view` and the certificate
+                // checks out (Genesis only works for view 1).
                 let sig = self.keys.sign(&propose_payload(&value, view));
-                Message::Propose(ProposeMsg {
+                let p = ProposeMsg {
                     value,
                     view,
                     cert: ProgressCert::Genesis,
                     sig,
-                })
+                };
+                if self.rng.gen_bool(0.5) {
+                    Message::Propose(p)
+                } else {
+                    Message::ValueReply(p)
+                }
             }
             5 => {
                 // A nil vote for a random view — validly signed.
@@ -194,9 +204,10 @@ impl RandomByzantine {
                 let vote = SignedVote::sign(&self.keys, Some(vd), dest);
                 Message::Vote(VoteMsg { view: dest, vote })
             }
+            9 => Message::ValueRequest(ValueRequestMsg { view }),
             _ => {
-                let sig = self.keys.sign(&certack_payload(&value, view));
-                Message::CertAck(CertAckMsg { view, value, sig })
+                let sig = self.keys.sign(&certack_statement(&digest, view));
+                Message::CertAck(CertAckMsg { view, digest, sig })
             }
         }
     }

@@ -23,7 +23,9 @@ use fastbft_obs::MetricsHandle;
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::{Config, ProcessId, Value, View};
 
-use crate::payload::{ack_payload, certack_payload, propose_payload, vote_payload, Statement};
+use crate::payload::{
+    ack_payload, ack_statement, certack_payload, propose_payload, vote_payload, Statement,
+};
 use crate::selection::{select, Outcome, SelectionError};
 
 thread_local! {
@@ -340,21 +342,14 @@ impl CommitCert {
     /// piggyback the latest one) is recognized by fingerprint instead of
     /// re-walking its signature quorum.
     pub fn verify_cached(&self, cfg: &Config, dir: &KeyDirectory, cache: &mut CertCache) -> bool {
-        let key = (
-            CertKind::Commit,
+        verify_commit_sigs(
+            cfg,
+            dir,
+            value_digest(&self.value),
             self.view,
-            *value_digest(&self.value),
-            encoded_digest(&self.sigs),
-        );
-        cache.check(key, |metrics| {
-            let stats = self.sigs.verify_with_stats(
-                &ack_payload(&self.value, self.view),
-                dir,
-                cfg.slow_quorum(),
-            );
-            note_sig_stats(metrics, stats);
-            stats.ok
-        })
+            &self.sigs,
+            cache,
+        )
     }
 
     /// Encoded size in bytes.
@@ -364,6 +359,27 @@ impl CommitCert {
 }
 
 fastbft_types::impl_wire_struct!(CommitCert { value, view, sigs });
+
+/// Verifies commit-certificate evidence — `⌈(n+f+1)/2⌉` shares over
+/// `(ack, digest, view)` — through a [`CertCache`], knowing only the
+/// value's digest. This is the check a digest-carried `Commit` message
+/// faces; [`CommitCert::verify_cached`] is the same check, so a
+/// certificate verified in either form is memoized for both.
+pub fn verify_commit_sigs(
+    cfg: &Config,
+    dir: &KeyDirectory,
+    digest: &Digest,
+    view: View,
+    sigs: &SignatureSet,
+    cache: &mut CertCache,
+) -> bool {
+    let key = (CertKind::Commit, view, *digest, encoded_digest(sigs));
+    cache.check(key, |metrics| {
+        let stats = sigs.verify_with_stats(&ack_statement(digest, view), dir, cfg.slow_quorum());
+        note_sig_stats(metrics, stats);
+        stats.ok
+    })
+}
 
 /// The paper's `vote_q = (x, u, σ, τ)`, plus the piggybacked latest commit
 /// certificate of the generalized protocol.

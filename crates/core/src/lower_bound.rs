@@ -30,7 +30,7 @@
 //! | `P4`  | f−1 = 1 | 6 | 6 | correct; received value 1 |
 //! | `P5`  | t = 2 | 7, 8 | 7, 8, 9 | correct; received value 1 |
 
-use fastbft_crypto::KeyDirectory;
+use fastbft_crypto::{value_digest, KeyDirectory};
 use fastbft_sim::{
     ConsensusChecker, Network, ScriptedActor, SimDuration, SimTime, Simulation, Violation,
 };
@@ -160,12 +160,12 @@ pub fn run_attack(n: usize, seed: u64) -> AttackOutcome {
     // looked *to P3*; silence to everyone else. In the ρ3 continuation it
     // helps steer the decision to 0 by acking the new proposal.
     let ack_one_v1 = Message::Ack(AckMsg {
-        value: one.clone(),
+        digest: *value_digest(&one),
         view: v1,
         share: None,
     });
     let ack_zero_v2 = Message::Ack(AckMsg {
-        value: zero.clone(),
+        digest: *value_digest(&zero),
         view: v2,
         share: None,
     });
@@ -206,7 +206,7 @@ pub fn run_attack(n: usize, seed: u64) -> AttackOutcome {
             SimTime(delta.0),
             others_not_5.iter().copied(),
             Message::Ack(AckMsg {
-                value: zero.clone(),
+                digest: *value_digest(&zero),
                 view: v1,
                 share: None,
             }),

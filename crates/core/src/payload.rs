@@ -77,13 +77,25 @@ pub fn vote_payload(vote_bytes: &[u8], v: View) -> Statement {
 /// Bytes of the statement `(CertAck, H(x), v)` (signed by certifiers →
 /// `φ_ca`; `f + 1` of these form a progress certificate).
 pub fn certack_payload(x: &Value, v: View) -> Statement {
-    statement(Domain::CertAck, value_digest(x), v)
+    certack_statement(value_digest(x), v)
+}
+
+/// [`certack_payload`] from the value's digest alone: what a `CertAck`
+/// message carries on the wire.
+pub fn certack_statement(digest: &Digest, v: View) -> Statement {
+    statement(Domain::CertAck, digest, v)
 }
 
 /// Bytes of the statement `(ack, H(x), v)` (signed share sent alongside each
 /// ack; `⌈(n+f+1)/2⌉` of these form a commit certificate, Appendix A).
 pub fn ack_payload(x: &Value, v: View) -> Statement {
-    statement(Domain::Ack, value_digest(x), v)
+    ack_statement(value_digest(x), v)
+}
+
+/// [`ack_payload`] from the value's digest alone: what acks, shares and
+/// `Commit` messages carry on the wire.
+pub fn ack_statement(digest: &Digest, v: View) -> Statement {
+    statement(Domain::Ack, digest, v)
 }
 
 #[cfg(test)]
@@ -116,6 +128,14 @@ mod tests {
         assert_ne!(propose_payload(&x, View(1)), propose_payload(&x, View(2)));
         assert_ne!(ack_payload(&x, View(1)), ack_payload(&x, View(2)));
         assert_ne!(certack_payload(&x, View(1)), certack_payload(&y, View(1)));
+    }
+
+    #[test]
+    fn digest_statements_match_value_statements() {
+        let x = Value::new(vec![0x5A; 300]);
+        let d = *value_digest(&x);
+        assert_eq!(ack_statement(&d, View(4)), ack_payload(&x, View(4)));
+        assert_eq!(certack_statement(&d, View(4)), certack_payload(&x, View(4)));
     }
 
     #[test]

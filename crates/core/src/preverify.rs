@@ -31,7 +31,7 @@ use fastbft_crypto::KeyDirectory;
 use fastbft_types::Config;
 
 use crate::message::Message;
-use crate::payload::{ack_payload, certack_payload, propose_payload};
+use crate::payload::{ack_statement, certack_statement, propose_payload};
 
 /// Protocol-aware cache warmer for inbound [`Message`]s (see the module
 /// docs). Cheap to clone; one per verify-pool worker.
@@ -59,20 +59,24 @@ impl Preverifier {
     /// total functions returning `bool`.
     pub fn preverify(&self, msg: &Message) {
         match msg {
-            Message::Propose(p) => {
+            Message::Propose(p) | Message::ValueReply(p) => {
                 let _ = self.dir.verify(&propose_payload(&p.value, p.view), &p.sig);
                 let _ = p.cert.verify(&self.cfg, &self.dir, &p.value, p.view);
             }
             Message::Ack(a) => {
                 if let Some(share) = &a.share {
-                    let _ = self.dir.verify(&ack_payload(&a.value, a.view), share);
+                    let _ = self.dir.verify(&ack_statement(&a.digest, a.view), share);
                 }
             }
             Message::SigShare(s) => {
-                let _ = self.dir.verify(&ack_payload(&s.value, s.view), &s.sig);
+                let _ = self.dir.verify(&ack_statement(&s.digest, s.view), &s.sig);
             }
             Message::Commit(c) => {
-                let _ = c.cert.verify(&self.cfg, &self.dir);
+                let _ = c.sigs.verify(
+                    &ack_statement(&c.digest, c.view),
+                    &self.dir,
+                    self.cfg.slow_quorum(),
+                );
             }
             Message::Vote(v) => {
                 let _ = v.vote.is_valid(&self.cfg, &self.dir, v.view);
@@ -85,11 +89,11 @@ impl Preverifier {
             Message::CertAck(ca) => {
                 let _ = self
                     .dir
-                    .verify(&certack_payload(&ca.value, ca.view), &ca.sig);
+                    .verify(&certack_statement(&ca.digest, ca.view), &ca.sig);
             }
-            // Wishes carry no signatures (view synchronizer messages are
+            // Wishes and value requests carry no signatures (they are
             // authenticated by the session MAC at the transport layer).
-            Message::Wish(_) => {}
+            Message::Wish(_) | Message::ValueRequest(_) => {}
         }
     }
 }
@@ -99,7 +103,7 @@ mod tests {
     use super::*;
     use crate::certs::{CommitCert, ProgressCert};
     use crate::message::{AckMsg, CommitMsg, ProposeMsg, SigShareMsg};
-    use fastbft_crypto::KeyPair;
+    use fastbft_crypto::{value_digest, KeyPair};
     use fastbft_types::{Value, View};
 
     fn setup() -> (Config, Vec<KeyPair>, KeyDirectory) {
@@ -159,37 +163,41 @@ mod tests {
         let pre = Preverifier::new(cfg, dir.clone());
         let x = Value::from_u64(3);
         let v = View(1);
-        let payload = ack_payload(&x, v);
+        let digest = *value_digest(&x);
+        let payload = ack_statement(&digest, v);
         let cert = CommitCert {
             value: x.clone(),
             view: v,
             sigs: pairs[..3].iter().map(|p| p.sign(&payload)).collect(),
         };
+        let commit = CommitMsg::of(&cert);
         let msgs = [
             Message::Ack(AckMsg {
-                value: x.clone(),
+                digest,
                 view: v,
                 share: Some(pairs[0].sign(&payload)),
             }),
             Message::Ack(AckMsg {
-                value: x.clone(),
+                digest,
                 view: v,
                 share: None,
             }),
             Message::SigShare(SigShareMsg {
-                value: x.clone(),
+                digest,
                 view: v,
                 sig: pairs[1].sign(&payload),
             }),
-            Message::Commit(CommitMsg { cert: cert.clone() }),
+            Message::Commit(commit.clone()),
             Message::Wish(crate::message::WishMsg { view: View(2) }),
+            Message::ValueRequest(crate::message::ValueRequestMsg { view: v }),
         ];
         for m in &msgs {
             pre.preverify(m);
         }
-        // The commit cert's shares went through ack_payload checks; the
-        // replica-side re-check of the same cert instance is free.
+        // The commit's shares went through ack-statement checks; the
+        // replica-side re-check of the same evidence is free.
         let before = dir.verifications_performed();
+        assert!(commit.sigs.verify(&payload, &dir, cfg.slow_quorum()));
         assert!(cert.verify(&cfg, &dir));
         assert_eq!(dir.verifications_performed(), before);
     }

@@ -19,20 +19,73 @@
 //! The replica is an I/O-free [`Actor`]: all effects go through
 //! [`Effects`], so the same code runs under the simulator, the thread
 //! runtime and the property tests.
+//!
+//! # Digest-carried acks and commits
+//!
+//! Only the leader's proposal carries the value's bytes. Acks, shares and
+//! `Commit`s carry the 32-byte digest `H(x)` that their signatures cover
+//! anyway, and the replica tallies them by `(view, digest)`. Three rules
+//! keep that equivalent to shipping the bytes:
+//!
+//! 1. **Decide only with the bytes.** A fast or slow decision quorum for a
+//!    digest decides only once the replica holds a value with that digest
+//!    — the proposal it accepted or buffered for that view — and is
+//!    re-checked whenever such a proposal arrives. A replica whose quorum
+//!    outran the proposal (a Byzantine leader withheld it) sends one
+//!    [`ValueRequestMsg`] for the view to the quorum's senders; each
+//!    answers at most once with the leader-signed proposal it accepted,
+//!    which must pass the `τ̂`/`σ̂` checks of any proposal and match the
+//!    quorum's digest.
+//! 2. **Commit only your own accepted value.** A replica assembles and
+//!    broadcasts `Commit(x, v, cc)` only for the `x` it accepted in `v`.
+//! 3. **Keep a received commit certificate only with its bytes**, so
+//!    `latest_cc` is always a complete certificate that fits in a vote.
+//!
+//! Decisions are therefore exactly those the value-carrying protocol makes
+//! (the same signed quorums, over statements that already bound `H(x)`),
+//! possibly later, never different: by collision resistance the bytes a
+//! replica holds for `H(x)` are `x`.
+//!
+//! ## Why the view change stays safe
+//!
+//! Zyzzyva's fast-path bug was a decision the view change could not
+//! recover, so the argument is restated here rather than assumed.
+//!
+//! *Slow path (Appendix A).* If `x` is decided on the slow path in view
+//! `v`, some `⌈(n+f+1)/2⌉` processes sent `Commit(x, v, cc)`. Any `n − f`
+//! votes of a later view share at least `⌈(n+f+1)/2⌉ − f ≥ f + 1` processes
+//! with them (because `n ≥ 3f + 1`), so the vote of at least one correct
+//! `Commit` sender reaches the new leader, carrying `cc` or a newer
+//! certificate, and the selection algorithm keeps `x`. This needs each
+//! correct `Commit` sender to put the *whole* certificate, value bytes
+//! included, into its votes. Rule 2 gives exactly that: a correct process
+//! commits only the value it accepted, whose bytes it holds, and stores the
+//! certificate as `latest_cc` as it sends. Receivers that lack the bytes
+//! do not keep the certificate (rule 3). That costs nothing, because the
+//! argument counts on the senders, never on the receivers.
+//!
+//! *Fast path (§3.2).* An ack is still sent only after accepting the
+//! proposal, so the `vote_q` of every correct ack sender holds the bytes
+//! the selection algorithm reads. A replica that decided through a
+//! [`ValueRequestMsg`] decided a value that `n − t` processes acked, under
+//! a leader signature it checked, just as if the proposal had reached it
+//! directly.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
+use fastbft_crypto::{value_digest, Digest, KeyDirectory, KeyPair, Signature, SignatureSet};
 use fastbft_obs::MetricsHandle;
 use fastbft_sim::{Actor, Effects, SimDuration, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
-use crate::certs::{CertCache, CertMode, CommitCert, ProgressCert, SignedVote, Vote, VoteData};
-use crate::message::{
-    AckMsg, CertAckMsg, CertRequestMsg, CommitMsg, Message, ProposeMsg, SigShareMsg, VoteMsg,
-    WishMsg,
+use crate::certs::{
+    verify_commit_sigs, CertCache, CertMode, CommitCert, ProgressCert, SignedVote, Vote, VoteData,
 };
-use crate::payload::{ack_payload, certack_payload, propose_payload};
+use crate::message::{
+    AckMsg, CertAckMsg, CertRequestMsg, CommitMsg, Message, ProposeMsg, SigShareMsg,
+    ValueRequestMsg, VoteMsg, WishMsg,
+};
+use crate::payload::{ack_statement, certack_payload, certack_statement, propose_payload};
 use crate::selection::{select, Outcome};
 
 /// Tuning knobs for a [`Replica`].
@@ -143,20 +196,27 @@ pub struct Replica {
     view: View,
     /// The paper's `vote_q`: the last proposal acknowledged.
     vote: Vote,
-    /// Highest view in which this process acknowledged a proposal.
-    acked_view: Option<View>,
+    /// The proposal acknowledged in each view (at most one per view). It
+    /// holds the bytes acks and `Commit`s name by digest, and it is what
+    /// a [`ValueRequestMsg`] is answered with.
+    accepted: BTreeMap<View, ProposeMsg>,
     /// Latest commit certificate collected (piggybacked on votes).
     latest_cc: Option<CommitCert>,
     decided: Option<Value>,
 
-    /// Distinct ack senders per `(view, value)`.
-    ack_tally: BTreeMap<(View, Value), BTreeSet<ProcessId>>,
-    /// Slow path: signature shares per `(view, value)`.
-    share_tally: BTreeMap<(View, Value), SignatureSet>,
-    /// Slow path: distinct `Commit` senders per `(view, value)`.
-    commit_tally: BTreeMap<(View, Value), BTreeSet<ProcessId>>,
-    /// `(view, value)` pairs whose `Commit` we already broadcast.
-    commit_sent: BTreeSet<(View, Value)>,
+    /// Distinct ack senders per `(view, digest)`.
+    ack_tally: BTreeMap<(View, Digest), BTreeSet<ProcessId>>,
+    /// Slow path: signature shares per `(view, digest)`.
+    share_tally: BTreeMap<(View, Digest), SignatureSet>,
+    /// Slow path: distinct `Commit` senders per `(view, digest)`.
+    commit_tally: BTreeMap<(View, Digest), BTreeSet<ProcessId>>,
+    /// Views whose `Commit` we already broadcast (one per view: only for
+    /// the value accepted in it).
+    commit_sent: BTreeSet<View>,
+    /// Views whose withheld proposal we asked the quorum for.
+    value_requests: BTreeSet<View>,
+    /// `(requester, view)` pairs already answered with a proposal.
+    value_replies: BTreeSet<(ProcessId, View)>,
 
     /// Valid proposals for views we have not entered yet.
     pending_proposes: BTreeMap<View, ProposeMsg>,
@@ -240,13 +300,15 @@ impl Replica {
             base_timeout: opts.base_timeout,
             view: View::FIRST,
             vote: None,
-            acked_view: None,
+            accepted: BTreeMap::new(),
             latest_cc: None,
             decided: None,
             ack_tally: BTreeMap::new(),
             share_tally: BTreeMap::new(),
             commit_tally: BTreeMap::new(),
             commit_sent: BTreeSet::new(),
+            value_requests: BTreeSet::new(),
+            value_replies: BTreeSet::new(),
             pending_proposes: BTreeMap::new(),
             votes_in: BTreeMap::new(),
             leader: None,
@@ -427,74 +489,174 @@ impl Replica {
 
     /// Handles a verified proposal for the **current** view.
     fn accept_proposal(&mut self, p: ProposeMsg, fx: &mut Effects<Message>) {
-        if self.acked_view == Some(self.view) {
+        if self.accepted.contains_key(&p.view) {
             return; // only the first proposal per view is acknowledged
         }
         debug_assert_eq!(p.view, self.view);
-        self.acked_view = Some(p.view);
+        let view = p.view;
+        let digest = *value_digest(&p.value);
         self.vote = Some(VoteData {
             value: p.value.clone(),
-            view: p.view,
-            progress_cert: p.cert,
-            leader_sig: p.sig,
+            view,
+            progress_cert: p.cert.clone(),
+            leader_sig: p.sig.clone(),
             commit_cert: None,
         });
-        // The slow-path share rides inside the ack (one copy of the value
-        // on the wire, not two): signing is 41 fixed bytes now, so it no
-        // longer needs the separate broadcast that kept it off the fast
-        // path (see `AckMsg`).
+        self.accepted.insert(view, p);
+        // The slow-path share rides inside the ack, and both name the
+        // value by digest: its bytes already reached everyone in the
+        // proposal (see `AckMsg`).
         let share = self
             .slow_path
-            .then(|| self.keys.sign(&ack_payload(&p.value, p.view)));
+            .then(|| self.keys.sign(&ack_statement(&digest, view)));
         fx.broadcast(Message::Ack(AckMsg {
-            value: p.value,
-            view: p.view,
+            digest,
+            view,
             share,
         }));
+        // Shares, acks and `Commit`s may have outrun the proposal.
+        self.try_commit(view, &digest, fx);
+        self.check_decision(view, &digest, fx);
+    }
+
+    /// The leader-signature and progress-certificate checks every proposal
+    /// faces (§3.1), whoever relayed it.
+    fn proposal_valid(&mut self, p: &ProposeMsg) -> bool {
+        p.view >= View::FIRST
+            && p.sig.signer == self.cfg.leader(p.view)
+            && self.dir.verify(&propose_payload(&p.value, p.view), &p.sig)
+            && p.cert
+                .verify_cached(&self.cfg, &self.dir, &p.value, p.view, &mut self.cert_cache)
     }
 
     fn on_propose(&mut self, from: ProcessId, p: ProposeMsg, fx: &mut Effects<Message>) {
         // Authentication and validity (§3.1): correct leader id, valid τ,
         // valid progress certificate for (x̂, v).
-        if from != self.cfg.leader(p.view) || p.sig.signer != from {
-            return;
-        }
-        if p.view < View::FIRST {
-            return;
-        }
-        if !self.dir.verify(&propose_payload(&p.value, p.view), &p.sig) {
-            return;
-        }
-        if !p
-            .cert
-            .verify_cached(&self.cfg, &self.dir, &p.value, p.view, &mut self.cert_cache)
-        {
+        if from != self.cfg.leader(p.view) || !self.proposal_valid(&p) {
             return;
         }
         if p.view > self.view {
             // We are behind; keep the proposal for when the synchronizer
-            // catches us up (the leader sends it exactly once).
-            self.pending_proposes.entry(p.view).or_insert(p);
+            // catches us up (the leader sends it exactly once). Its bytes
+            // may already complete a decision quorum.
+            let view = p.view;
+            let digest = *value_digest(&p.value);
+            self.pending_proposes.entry(view).or_insert(p);
+            self.check_decision(view, &digest, fx);
         } else if p.view == self.view {
             self.accept_proposal(p, fx);
         }
         // p.view < self.view: stale, ignore.
     }
 
+    /// The value with `digest` proposed in `view`, if this replica holds
+    /// its bytes: the proposal it accepted or buffered for that view.
+    fn held_value(&self, view: View, digest: &Digest) -> Option<&Value> {
+        self.accepted
+            .get(&view)
+            .into_iter()
+            .chain(self.pending_proposes.get(&view))
+            .map(|p| &p.value)
+            .find(|x| value_digest(x) == digest)
+    }
+
+    /// The path on which `(view, digest)` has a decision quorum, if any.
+    fn quorum_path(&self, view: View, digest: &Digest) -> Option<CommitPath> {
+        let key = (view, *digest);
+        let count = |tally: &BTreeMap<(View, Digest), BTreeSet<ProcessId>>| {
+            tally.get(&key).map_or(0, BTreeSet::len)
+        };
+        if count(&self.ack_tally) >= self.cfg.fast_quorum() {
+            Some(CommitPath::Fast)
+        } else if count(&self.commit_tally) >= self.cfg.slow_quorum() {
+            Some(CommitPath::Slow)
+        } else {
+            None
+        }
+    }
+
+    /// Decides `(view, digest)` once it has a decision quorum **and** this
+    /// replica holds the bytes (rule 1 of the module docs); with a quorum
+    /// but no bytes, asks the quorum for the proposal.
+    fn check_decision(&mut self, view: View, digest: &Digest, fx: &mut Effects<Message>) {
+        if self
+            .decided
+            .as_ref()
+            .is_some_and(|x| value_digest(x) == digest)
+        {
+            return;
+        }
+        let Some(path) = self.quorum_path(view, digest) else {
+            return;
+        };
+        if let Some(x) = self.held_value(view, digest).cloned() {
+            self.try_decide(&x, path, fx);
+        } else {
+            self.request_value(view, digest, fx);
+        }
+    }
+
+    /// Asks the senders of `(view, digest)`'s decision quorum for the
+    /// proposal they accepted — once per view. Every correct ack sender
+    /// accepted it, and so did every correct `Commit` sender (rule 2), and
+    /// both quorums contain a correct process.
+    fn request_value(&mut self, view: View, digest: &Digest, fx: &mut Effects<Message>) {
+        if !self.value_requests.insert(view) {
+            return;
+        }
+        let key = (view, *digest);
+        let senders: BTreeSet<ProcessId> = [&self.ack_tally, &self.commit_tally]
+            .into_iter()
+            .filter_map(|tally| tally.get(&key))
+            .flatten()
+            .copied()
+            .filter(|p| *p != self.id)
+            .collect();
+        for to in senders {
+            fx.send(to, Message::ValueRequest(ValueRequestMsg { view }));
+        }
+    }
+
+    fn on_value_request(&mut self, from: ProcessId, r: ValueRequestMsg, fx: &mut Effects<Message>) {
+        let Some(p) = self.accepted.get(&r.view) else {
+            return;
+        };
+        if from == self.id || !self.value_replies.insert((from, r.view)) {
+            return; // at most one answer per (requester, view)
+        }
+        fx.send(from, Message::ValueReply(p.clone()));
+    }
+
+    /// A relayed proposal answering our [`ValueRequestMsg`]: checked like
+    /// any proposal except for who sent it, and useful only if its digest
+    /// has a decision quorum here.
+    fn on_value_reply(&mut self, p: ProposeMsg, fx: &mut Effects<Message>) {
+        if !self.value_requests.contains(&p.view) {
+            return;
+        }
+        let digest = *value_digest(&p.value);
+        let Some(path) = self.quorum_path(p.view, &digest) else {
+            return; // not the digest the quorum backs
+        };
+        if !self.proposal_valid(&p) {
+            return;
+        }
+        self.try_decide(&p.value, path, fx);
+    }
+
     fn on_ack(&mut self, from: ProcessId, a: AckMsg, fx: &mut Effects<Message>) {
         if let Some(sig) = a.share {
-            self.on_share(from, a.value.clone(), a.view, sig, fx);
+            self.on_share(from, a.digest, a.view, sig, fx);
         }
-        let senders = self.ack_tally.entry((a.view, a.value.clone())).or_default();
+        let senders = self.ack_tally.entry((a.view, a.digest)).or_default();
         senders.insert(from);
         if senders.len() >= self.cfg.fast_quorum() {
-            let value = a.value.clone();
-            self.try_decide(&value, CommitPath::Fast, fx);
+            self.check_decision(a.view, &a.digest, fx);
         }
     }
 
     fn on_sig_share(&mut self, from: ProcessId, s: SigShareMsg, fx: &mut Effects<Message>) {
-        self.on_share(from, s.value, s.view, s.sig, fx);
+        self.on_share(from, s.digest, s.view, s.sig, fx);
     }
 
     /// Handles one slow-path share `φ_ack`, whether it rode inside an ack
@@ -502,7 +664,7 @@ impl Replica {
     fn on_share(
         &mut self,
         from: ProcessId,
-        value: Value,
+        digest: Digest,
         view: View,
         sig: Signature,
         fx: &mut Effects<Message>,
@@ -510,25 +672,48 @@ impl Replica {
         if !self.slow_path {
             return;
         }
-        let payload = ack_payload(&value, view);
+        let payload = ack_statement(&digest, view);
         if sig.signer != from || !self.dir.verify(&payload, &sig) {
             return;
         }
-        let key = (view, value);
-        let shares = self.share_tally.entry(key.clone()).or_default();
         // The share just verified over `payload`: record that, so verifying
         // the assembled commit certificate re-does none of the HMAC work.
-        shares.insert_verified(sig, &payload);
-        if shares.len() >= self.cfg.slow_quorum() && !self.commit_sent.contains(&key) {
-            self.commit_sent.insert(key.clone());
-            let cert = CommitCert {
-                value: key.1.clone(),
-                view,
-                sigs: self.share_tally[&key].clone(),
-            };
-            self.store_cc(cert.clone());
-            fx.broadcast(Message::Commit(CommitMsg { cert }));
+        self.share_tally
+            .entry((view, digest))
+            .or_default()
+            .insert_verified(sig, &payload);
+        self.try_commit(view, &digest, fx);
+    }
+
+    /// Assembles and broadcasts `Commit(x, v, cc)` once `⌈(n+f+1)/2⌉`
+    /// shares back `(view, digest)` — but only if `x` is the value this
+    /// replica accepted itself in `view` (rule 2 of the module docs, which
+    /// carries the slow path's view-change safety argument).
+    fn try_commit(&mut self, view: View, digest: &Digest, fx: &mut Effects<Message>) {
+        if self.commit_sent.contains(&view) {
+            return;
         }
+        let Some(sigs) = self.share_tally.get(&(view, *digest)) else {
+            return;
+        };
+        if sigs.len() < self.cfg.slow_quorum() {
+            return;
+        }
+        let Some(accepted) = self.accepted.get(&view) else {
+            return;
+        };
+        if value_digest(&accepted.value) != digest {
+            return;
+        }
+        self.commit_sent.insert(view);
+        let cert = CommitCert {
+            value: accepted.value.clone(),
+            view,
+            sigs: sigs.clone(),
+        };
+        let msg = CommitMsg::of(&cert);
+        self.store_cc(cert);
+        fx.broadcast(Message::Commit(msg));
     }
 
     fn store_cc(&mut self, cc: CommitCert) {
@@ -545,21 +730,25 @@ impl Replica {
         if !self.slow_path {
             return;
         }
-        if !c
-            .cert
-            .verify_cached(&self.cfg, &self.dir, &mut self.cert_cache)
-        {
+        if !verify_commit_sigs(
+            &self.cfg,
+            &self.dir,
+            &c.digest,
+            c.view,
+            &c.sigs,
+            &mut self.cert_cache,
+        ) {
             return;
         }
-        self.store_cc(c.cert.clone());
-        let senders = self
-            .commit_tally
-            .entry((c.cert.view, c.cert.value.clone()))
-            .or_default();
+        let (view, digest) = (c.view, c.digest);
+        // Rule 3: a received certificate is kept only with its bytes.
+        if let Some(x) = self.held_value(view, &digest).cloned() {
+            self.store_cc(c.into_cert(x));
+        }
+        let senders = self.commit_tally.entry((view, digest)).or_default();
         senders.insert(from);
         if senders.len() >= self.cfg.slow_quorum() {
-            let value = c.cert.value.clone();
-            self.try_decide(&value, CommitPath::Slow, fx);
+            self.check_decision(view, &digest, fx);
         }
     }
 
@@ -703,7 +892,7 @@ impl Replica {
             from,
             Message::CertAck(CertAckMsg {
                 view: req.view,
-                value: req.value,
+                digest: *value_digest(&req.value),
                 sig,
             }),
         );
@@ -711,19 +900,15 @@ impl Replica {
 
     fn on_cert_ack(&mut self, from: ProcessId, ack: CertAckMsg, fx: &mut Effects<Message>) {
         let Some(ls) = &mut self.leader else { return };
-        if ls.view != ack.view || ls.selected.as_ref() != Some(&ack.value) {
+        if ls.view != ack.view || ls.selected.as_ref().map(value_digest) != Some(&ack.digest) {
             return;
         }
-        if ack.sig.signer != from
-            || !self
-                .dir
-                .verify(&certack_payload(&ack.value, ack.view), &ack.sig)
-        {
+        let payload = certack_statement(&ack.digest, ack.view);
+        if ack.sig.signer != from || !self.dir.verify(&payload, &ack.sig) {
             return;
         }
         // Verified just above: pre-memoize it in the assembling certificate.
-        ls.certacks
-            .insert_verified(ack.sig, &certack_payload(&ack.value, ack.view));
+        ls.certacks.insert_verified(ack.sig, &payload);
         self.try_propose_certified(fx);
     }
 
@@ -796,34 +981,28 @@ impl Actor<Message> for Replica {
         // Swap each carried value for its canonical interned instance
         // before handling: statement building needs the value digest, and
         // interning is what makes that digest memoized per replica rather
-        // than recomputed for every decoded copy.
+        // than recomputed for every decoded copy. Only proposals and
+        // CertRequests carry values; everything else carries digests.
         match msg {
             Message::Propose(mut p) => {
                 p.value = self.intern(p.value);
                 self.on_propose(from, p, fx);
             }
-            Message::Ack(mut a) => {
-                a.value = self.intern(a.value);
-                self.on_ack(from, a, fx);
-            }
-            Message::SigShare(mut s) => {
-                s.value = self.intern(s.value);
-                self.on_sig_share(from, s, fx);
-            }
-            Message::Commit(mut c) => {
-                c.cert.value = self.intern(c.cert.value);
-                self.on_commit(from, c, fx);
-            }
+            Message::Ack(a) => self.on_ack(from, a, fx),
+            Message::SigShare(s) => self.on_sig_share(from, s, fx),
+            Message::Commit(c) => self.on_commit(from, c, fx),
             Message::Vote(v) => self.on_vote(from, v, fx),
             Message::CertRequest(mut r) => {
                 r.value = self.intern(r.value);
                 self.on_cert_request(from, r, fx);
             }
-            Message::CertAck(mut a) => {
-                a.value = self.intern(a.value);
-                self.on_cert_ack(from, a, fx);
-            }
+            Message::CertAck(a) => self.on_cert_ack(from, a, fx),
             Message::Wish(w) => self.on_wish(from, w, fx),
+            Message::ValueRequest(r) => self.on_value_request(from, r, fx),
+            Message::ValueReply(mut p) => {
+                p.value = self.intern(p.value);
+                self.on_value_reply(p, fx);
+            }
         }
     }
 
@@ -946,25 +1125,140 @@ mod tests {
         assert!(r.vote().is_none());
     }
 
+    /// `leader(1)`'s genuine view-1 proposal of `x`.
+    fn propose_v1(cfg: &Config, pairs: &[KeyPair], x: &Value) -> ProposeMsg {
+        ProposeMsg {
+            value: x.clone(),
+            view: View::FIRST,
+            cert: ProgressCert::Genesis,
+            sig: pairs[cfg.leader(View::FIRST).index()].sign(&propose_payload(x, View::FIRST)),
+        }
+    }
+
+    fn ack(x: &Value, view: View) -> Message {
+        Message::Ack(AckMsg {
+            digest: *value_digest(x),
+            view,
+            share: None,
+        })
+    }
+
+    /// Hands `r` the view-1 proposal of `x` from its leader.
+    fn give_proposal(r: &mut Replica, cfg: &Config, pairs: &[KeyPair], x: &Value, n: usize) {
+        let mut buf = fx(r.id().0, n);
+        let p = propose_v1(cfg, pairs, x);
+        r.on_message(cfg.leader(View::FIRST), Message::Propose(p), &mut buf);
+    }
+
+    fn value_requests(buf: &Effects<Message>) -> Vec<ProcessId> {
+        buf.sent()
+            .iter()
+            .filter(|(_, m)| matches!(m, Message::ValueRequest(_)))
+            .map(|(to, _)| *to)
+            .collect()
+    }
+
     #[test]
     fn fast_quorum_of_acks_decides() {
         let (cfg, pairs, dir) = fixture(4, 1, 1);
         let mut r = replica(&cfg, &pairs, &dir, 0, 1);
         let x = Value::from_u64(5);
+        give_proposal(&mut r, &cfg, &pairs, &x, 4);
         let mut buf = fx(1, 4);
         for sender in [2u32, 3, 4] {
-            r.on_message(
-                ProcessId(sender),
-                Message::Ack(AckMsg {
-                    value: x.clone(),
-                    view: View::FIRST,
-                    share: None,
-                }),
-                &mut buf,
-            );
+            r.on_message(ProcessId(sender), ack(&x, View::FIRST), &mut buf);
         }
         // fast quorum for (4,1,1) is 3.
         assert_eq!(r.decided(), Some(&x));
+        assert!(value_requests(&buf).is_empty());
+    }
+
+    /// Rule 1: a quorum of digest-carried acks decides nothing until the
+    /// bytes are here; it asks the quorum for them, once, and decides as
+    /// soon as the proposal shows up.
+    #[test]
+    fn ack_quorum_without_bytes_waits_and_asks() {
+        let (cfg, pairs, dir) = fixture(4, 1, 1);
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let x = Value::from_u64(5);
+        let mut buf = fx(1, 4);
+        for sender in [2u32, 3, 4, 4] {
+            r.on_message(ProcessId(sender), ack(&x, View::FIRST), &mut buf);
+        }
+        assert_eq!(r.decided(), None);
+        assert_eq!(
+            value_requests(&buf),
+            vec![ProcessId(2), ProcessId(3), ProcessId(4)],
+            "one request per quorum sender, however many acks arrive"
+        );
+        give_proposal(&mut r, &cfg, &pairs, &x, 4);
+        assert_eq!(r.decided(), Some(&x));
+        assert_eq!(r.decided_path(), Some(CommitPath::Fast));
+    }
+
+    #[test]
+    fn value_reply_decides_and_bad_replies_are_ignored() {
+        let (cfg, pairs, dir) = fixture(4, 1, 1);
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let x = Value::from_u64(5);
+        let y = Value::from_u64(6);
+        let mut buf = fx(1, 4);
+        // An unsolicited reply is ignored even when genuine.
+        r.on_message(
+            ProcessId(3),
+            Message::ValueReply(propose_v1(&cfg, &pairs, &y)),
+            &mut buf,
+        );
+        for sender in [2u32, 3, 4] {
+            r.on_message(ProcessId(sender), ack(&x, View::FIRST), &mut buf);
+        }
+        // Wrong digest: a genuine proposal, but not of the acked value.
+        r.on_message(
+            ProcessId(3),
+            Message::ValueReply(propose_v1(&cfg, &pairs, &y)),
+            &mut buf,
+        );
+        assert_eq!(r.decided(), None);
+        // Right digest, but τ̂ is not leader(1)'s.
+        let mut forged = propose_v1(&cfg, &pairs, &x);
+        forged.sig = pairs[2].sign(&propose_payload(&x, View::FIRST));
+        r.on_message(ProcessId(3), Message::ValueReply(forged), &mut buf);
+        assert_eq!(r.decided(), None);
+        // The genuine proposal, relayed by a non-leader, decides.
+        r.on_message(
+            ProcessId(4),
+            Message::ValueReply(propose_v1(&cfg, &pairs, &x)),
+            &mut buf,
+        );
+        assert_eq!(r.decided(), Some(&x));
+    }
+
+    #[test]
+    fn value_requests_are_answered_once_per_requester_and_view() {
+        let (cfg, pairs, dir) = fixture(4, 1, 1);
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let x = Value::from_u64(5);
+        let req = |view| Message::ValueRequest(ValueRequestMsg { view });
+        let mut buf = fx(1, 4);
+        // Nothing accepted yet: nothing to answer with.
+        r.on_message(ProcessId(3), req(View::FIRST), &mut buf);
+        assert!(buf.sent().is_empty());
+        give_proposal(&mut r, &cfg, &pairs, &x, 4);
+        let mut buf = fx(1, 4);
+        for _ in 0..3 {
+            r.on_message(ProcessId(3), req(View::FIRST), &mut buf);
+            r.on_message(ProcessId(4), req(View::FIRST), &mut buf);
+            r.on_message(ProcessId(4), req(View(2)), &mut buf);
+        }
+        let replies: Vec<_> = buf
+            .sent()
+            .iter()
+            .map(|(to, m)| match m {
+                Message::ValueReply(p) => (*to, p.value.clone()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(replies, vec![(ProcessId(3), x.clone()), (ProcessId(4), x)]);
     }
 
     #[test]
@@ -978,17 +1272,10 @@ mod tests {
 
         // A fast-quorum decision earns one doubling of relief.
         let x = Value::from_u64(5);
+        give_proposal(&mut r, &cfg, &pairs, &x, 4);
         let mut buf = fx(1, 4);
         for sender in [2u32, 3, 4] {
-            r.on_message(
-                ProcessId(sender),
-                Message::Ack(AckMsg {
-                    value: x.clone(),
-                    view: View::FIRST,
-                    share: None,
-                }),
-                &mut buf,
-            );
+            r.on_message(ProcessId(sender), ack(&x, View::FIRST), &mut buf);
         }
         assert_eq!(r.decided(), Some(&x));
         assert_eq!(r.timeout_for(View(4)).0, base.0 * 4, "one doubling shaved");
@@ -1008,17 +1295,10 @@ mod tests {
         let (cfg, pairs, dir) = fixture(4, 1, 1);
         let mut r = replica(&cfg, &pairs, &dir, 0, 1);
         let x = Value::from_u64(5);
+        give_proposal(&mut r, &cfg, &pairs, &x, 4);
         let mut buf = fx(1, 4);
         for _ in 0..5 {
-            r.on_message(
-                ProcessId(2),
-                Message::Ack(AckMsg {
-                    value: x.clone(),
-                    view: View::FIRST,
-                    share: None,
-                }),
-                &mut buf,
-            );
+            r.on_message(ProcessId(2), ack(&x, View::FIRST), &mut buf);
         }
         assert_eq!(r.decided(), None);
     }
@@ -1031,15 +1311,12 @@ mod tests {
         for (sender, val) in [(2u32, 5u64), (3, 6), (4, 7)] {
             r.on_message(
                 ProcessId(sender),
-                Message::Ack(AckMsg {
-                    value: Value::from_u64(val),
-                    view: View::FIRST,
-                    share: None,
-                }),
+                ack(&Value::from_u64(val), View::FIRST),
                 &mut buf,
             );
         }
         assert_eq!(r.decided(), None);
+        assert!(value_requests(&buf).is_empty());
     }
 
     #[test]
@@ -1054,26 +1331,73 @@ mod tests {
         assert!(r.slow_path_enabled());
     }
 
+    /// Six shares over `x` in view 1, each from its own signer.
+    fn share_msgs(pairs: &[KeyPair], x: &Value) -> Vec<(ProcessId, Message)> {
+        let digest = *value_digest(x);
+        pairs
+            .iter()
+            .enumerate()
+            .take(6)
+            .map(|(i, pair)| {
+                let sig = pair.sign(&ack_statement(&digest, View::FIRST));
+                let msg = Message::SigShare(SigShareMsg {
+                    digest,
+                    view: View::FIRST,
+                    sig,
+                });
+                (ProcessId::from_index(i), msg)
+            })
+            .collect()
+    }
+
     #[test]
     fn sig_shares_assemble_commit_cert() {
         let (cfg, pairs, dir) = fixture(8, 2, 1); // slow quorum ceil(11/2)=6
         let mut r = replica(&cfg, &pairs, &dir, 0, 1);
-        let x = Value::from_u64(3);
+        let x = Value::new(vec![3; 1024]);
         let mut buf = fx(1, 8);
-        for (i, pair) in pairs.iter().enumerate().take(6) {
-            let sig = pair.sign(&ack_payload(&x, View::FIRST));
-            r.on_message(
-                ProcessId::from_index(i),
-                Message::SigShare(SigShareMsg {
-                    value: x.clone(),
-                    view: View::FIRST,
-                    sig,
-                }),
-                &mut buf,
-            );
+        // The shares outrun the proposal: no Commit yet.
+        for (from, msg) in share_msgs(&pairs, &x) {
+            r.on_message(from, msg, &mut buf);
         }
-        // The replica stored the assembled commit certificate.
-        assert!(r.latest_cc.as_ref().is_some_and(|cc| cc.value == x));
+        assert!(r.latest_cc.is_none());
+        let mut buf = fx(1, 8);
+        let p = propose_v1(&cfg, &pairs, &x);
+        r.on_message(cfg.leader(View::FIRST), Message::Propose(p), &mut buf);
+        // The replica stored the assembled commit certificate and
+        // broadcast it by digest.
+        let cc = r.latest_cc.clone().expect("commit certificate assembled");
+        assert_eq!(cc.value, x);
+        let commits: Vec<_> = buf
+            .sent()
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Message::Commit(c) => Some(c.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(commits.len(), 8, "one broadcast, to every process");
+        assert_eq!(commits[0], CommitMsg::of(&cc));
+    }
+
+    /// Rule 2: shares for a value this replica did not accept never make
+    /// it send a `Commit`.
+    #[test]
+    fn commit_only_for_own_accepted_value() {
+        let (cfg, pairs, dir) = fixture(8, 2, 1);
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let x = Value::from_u64(3);
+        let y = Value::from_u64(4);
+        give_proposal(&mut r, &cfg, &pairs, &y, 8);
+        let mut buf = fx(1, 8);
+        for (from, msg) in share_msgs(&pairs, &x) {
+            r.on_message(from, msg, &mut buf);
+        }
+        assert!(r.latest_cc.is_none());
+        assert!(!buf
+            .sent()
+            .iter()
+            .any(|(_, m)| matches!(m, Message::Commit(_))));
     }
 
     #[test]
@@ -1081,21 +1405,25 @@ mod tests {
         let (cfg, pairs, dir) = fixture(8, 2, 1);
         let mut r = replica(&cfg, &pairs, &dir, 0, 1);
         let x = Value::from_u64(3);
+        give_proposal(&mut r, &cfg, &pairs, &x, 8);
         let mut buf = fx(1, 8);
-        for (i, pair) in pairs.iter().enumerate().take(6) {
+        for (from, msg) in share_msgs(&pairs, &x) {
             // Signature by i but claimed from sender i+1: must be dropped.
-            let sig = pair.sign(&ack_payload(&x, View::FIRST));
-            r.on_message(
-                ProcessId::from_index((i + 1) % 8),
-                Message::SigShare(SigShareMsg {
-                    value: x.clone(),
-                    view: View::FIRST,
-                    sig,
-                }),
-                &mut buf,
-            );
+            let claimed = ProcessId::from_index((from.index() + 1) % 8);
+            r.on_message(claimed, msg, &mut buf);
         }
         assert!(r.latest_cc.is_none());
+    }
+
+    fn commit_cert(pairs: &[KeyPair], x: &Value, signers: usize) -> CommitCert {
+        CommitCert {
+            value: x.clone(),
+            view: View::FIRST,
+            sigs: pairs[..signers]
+                .iter()
+                .map(|p| p.sign(&ack_statement(value_digest(x), View::FIRST)))
+                .collect(),
+        }
     }
 
     #[test]
@@ -1103,23 +1431,35 @@ mod tests {
         let (cfg, pairs, dir) = fixture(8, 2, 1);
         let mut r = replica(&cfg, &pairs, &dir, 0, 1);
         let x = Value::from_u64(4);
-        let cc = CommitCert {
-            value: x.clone(),
-            view: View::FIRST,
-            sigs: pairs[..6]
-                .iter()
-                .map(|p| p.sign(&ack_payload(&x, View::FIRST)))
-                .collect(),
-        };
+        let cc = commit_cert(&pairs, &x, 6);
         let mut buf = fx(1, 8);
         for sender in 1..=6u32 {
             r.on_message(
                 ProcessId(sender),
-                Message::Commit(CommitMsg { cert: cc.clone() }),
+                Message::Commit(CommitMsg::of(&cc)),
                 &mut buf,
             );
         }
+        // Rule 3: without the bytes, the certificate is not kept and
+        // nothing is decided; the commit senders are asked instead.
+        assert_eq!(r.decided(), None);
+        assert!(r.latest_cc.is_none());
+        assert_eq!(value_requests(&buf).len(), 5, "senders other than self");
+        give_proposal(&mut r, &cfg, &pairs, &x, 8);
         assert_eq!(r.decided(), Some(&x));
+        assert_eq!(r.decided_path(), Some(CommitPath::Slow));
+    }
+
+    #[test]
+    fn received_commit_cert_kept_with_bytes() {
+        let (cfg, pairs, dir) = fixture(8, 2, 1);
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let x = Value::from_u64(4);
+        give_proposal(&mut r, &cfg, &pairs, &x, 8);
+        let cc = commit_cert(&pairs, &x, 6);
+        let mut buf = fx(1, 8);
+        r.on_message(ProcessId(5), Message::Commit(CommitMsg::of(&cc)), &mut buf);
+        assert_eq!(r.latest_cc, Some(cc));
     }
 
     #[test]
@@ -1127,20 +1467,14 @@ mod tests {
         let (cfg, pairs, dir) = fixture(8, 2, 1);
         let mut r = replica(&cfg, &pairs, &dir, 0, 1);
         let x = Value::from_u64(4);
+        give_proposal(&mut r, &cfg, &pairs, &x, 8);
         // Only 3 shares: below the slow quorum of 6.
-        let cc = CommitCert {
-            value: x.clone(),
-            view: View::FIRST,
-            sigs: pairs[..3]
-                .iter()
-                .map(|p| p.sign(&ack_payload(&x, View::FIRST)))
-                .collect(),
-        };
+        let cc = commit_cert(&pairs, &x, 3);
         let mut buf = fx(1, 8);
         for sender in 1..=6u32 {
             r.on_message(
                 ProcessId(sender),
-                Message::Commit(CommitMsg { cert: cc.clone() }),
+                Message::Commit(CommitMsg::of(&cc)),
                 &mut buf,
             );
         }
@@ -1227,15 +1561,7 @@ mod tests {
         let (cfg, pairs, dir) = fixture(4, 1, 1);
         let _ = (cfg, dir);
         let x = Value::from_u64(1);
-        assert_eq!(
-            Message::Ack(AckMsg {
-                value: x.clone(),
-                view: View(1),
-                share: None,
-            })
-            .kind(),
-            "ack"
-        );
+        assert_eq!(ack(&x, View(1)).kind(), "ack");
         assert_eq!(
             Message::Propose(ProposeMsg {
                 value: x,

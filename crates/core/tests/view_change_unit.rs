@@ -6,7 +6,7 @@ use fastbft_core::certs::{ProgressCert, SignedVote, VoteData};
 use fastbft_core::message::{CertAckMsg, CertRequestMsg, Message, VoteMsg, WishMsg};
 use fastbft_core::payload::{certack_payload, propose_payload};
 use fastbft_core::replica::Replica;
-use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
+use fastbft_crypto::{value_digest, KeyDirectory, KeyPair, Signature};
 use fastbft_sim::{Actor, Effects, SimTime};
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -104,7 +104,7 @@ fn leader_certification_roundtrip() {
         ProcessId(1),
         Message::CertAck(CertAckMsg {
             view: View(2),
-            value: wrong.clone(),
+            digest: *value_digest(&wrong),
             sig: pairs[0].sign(&certack_payload(&wrong, View(2))),
         }),
         &mut buf2,
@@ -118,7 +118,7 @@ fn leader_certification_roundtrip() {
         ProcessId(1),
         Message::CertAck(CertAckMsg {
             view: View(2),
-            value: x.clone(),
+            digest: *value_digest(&x),
             sig: pairs[1].sign(&certack_payload(&x, View(2))), // signer p2 ≠ sender p1
         }),
         &mut buf3,
@@ -132,7 +132,7 @@ fn leader_certification_roundtrip() {
         ProcessId(1),
         Message::CertAck(CertAckMsg {
             view: View(2),
-            value: x.clone(),
+            digest: *value_digest(&x),
             sig: pairs[0].sign(&certack_payload(&x, View(2))),
         }),
         &mut buf4,

@@ -46,7 +46,11 @@ pub const MAGIC: u32 = 0x4642_4E31;
 /// Version 2 made the data-frame payload a message *batch* (`u32` count
 /// followed by that many back-to-back canonical message encodings) so one
 /// frame — and one session MAC — carries a writer thread's whole drain.
-pub const VERSION: u16 = 2;
+/// Version 3 changed the protocol messages inside: acks, signature shares,
+/// `Commit`s and `CertAck`s carry the value's 32-byte digest instead of its
+/// bytes, and value requests and replies are new, so a version-2 peer
+/// would fail at decode; the handshake turns that into `BadVersion`.
+pub const VERSION: u16 = 3;
 
 /// A data frame: one protocol message from an authenticated peer.
 #[derive(Clone, Debug, PartialEq)]
@@ -710,6 +714,14 @@ mod tests {
             h.verify(&dir, me),
             Err(HandshakeError::BadVersion { .. })
         ));
+        // A peer on the previous format (value-carrying acks) is turned
+        // away at handshake, not at its first decode.
+        let mut h = good.clone();
+        h.version = VERSION - 1;
+        assert_eq!(
+            h.verify(&dir, me),
+            Err(HandshakeError::BadVersion { got: 2 })
+        );
 
         // p3 claiming to be p2: signature binds the claimed identity.
         let mut h = good.clone();

@@ -45,7 +45,7 @@ use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsHandle;
 use fastbft_runtime::transport::{poll_queue, poll_queue_batch, Inbound, Polled, Transport};
 use fastbft_sim::SimMessage;
-use fastbft_types::wire::{encode_into, Decode, Encode, MAX_FRAME_LEN};
+use fastbft_types::wire::{Decode, Encode, MAX_FRAME_LEN};
 use fastbft_types::ProcessId;
 
 use crate::frame::{
@@ -181,19 +181,10 @@ impl TcpStats {
 }
 
 /// The send side of one peer: the bounded queue feeding its writer thread.
-struct PeerHandle {
-    tx: Sender<Bytes>,
-    /// Frames currently queued (only the event-loop thread increments, so
-    /// the bound check is exact).
-    depth: Arc<AtomicUsize>,
-    dropped: Arc<AtomicU64>,
-    writer: JoinHandle<()>,
-}
-
-/// A clone of one peer's send side, held by a [`TcpSender`].
 #[derive(Clone)]
 struct PeerSend {
     tx: Sender<Bytes>,
+    /// Frames currently queued (exact with one sender; see [`TcpSender`]).
     depth: Arc<AtomicUsize>,
     dropped: Arc<AtomicU64>,
 }
@@ -221,9 +212,9 @@ pub struct TcpSender<M> {
     outbound_queue_frames: usize,
     peers: Vec<Option<PeerSend>>,
     inbound_tx: Sender<Inbound<M>>,
-    /// Per-clone encode buffer (each clone starts fresh), preserving the
-    /// encode-once broadcast without sharing mutable state.
-    scratch: Vec<u8>,
+    /// Capacity for the next encode: the previous message's length, so a
+    /// run of same-kind messages encodes without regrowing its buffer.
+    encode_hint: usize,
     metrics: MetricsHandle,
 }
 
@@ -235,7 +226,7 @@ impl<M> Clone for TcpSender<M> {
             outbound_queue_frames: self.outbound_queue_frames,
             peers: self.peers.clone(),
             inbound_tx: self.inbound_tx.clone(),
-            scratch: Vec::new(),
+            encode_hint: 0,
             metrics: self.metrics.clone(),
         }
     }
@@ -249,8 +240,7 @@ impl<M: SimMessage + Encode> TcpSender<M> {
             let _ = self.inbound_tx.send(Inbound::Peer(self.id, msg));
             return;
         }
-        encode_into(&msg, &mut self.scratch);
-        let payload = Bytes::copy_from_slice(&self.scratch);
+        let payload = self.encode(&msg);
         self.enqueue(to.index(), payload);
     }
 
@@ -258,8 +248,10 @@ impl<M: SimMessage + Encode> TcpSender<M> {
     /// ([`Transport::broadcast`] semantics — one encode, `n−1` reference
     /// bumps).
     pub fn broadcast(&mut self, msg: M) {
-        encode_into(&msg, &mut self.scratch);
-        let payload = Bytes::copy_from_slice(&self.scratch);
+        // Encode-once: one canonical encoding shared (by reference count)
+        // across every peer's queue. The per-connection session MACs are
+        // computed over these same shared bytes by the writer threads.
+        let payload = self.encode(&msg);
         for peer in 0..self.n {
             if peer != self.id.index() {
                 self.enqueue(peer, payload.clone());
@@ -273,6 +265,17 @@ impl<M: SimMessage + Encode> TcpSender<M> {
         self.n
     }
 
+    /// Encodes `msg` into a buffer of its own that becomes the shared
+    /// payload by a move (no copy out of a scratch buffer).
+    fn encode(&mut self, msg: &M) -> Bytes {
+        let mut buf = Vec::with_capacity(self.encode_hint);
+        msg.encode(&mut buf);
+        self.encode_hint = buf.len();
+        Bytes::from(buf)
+    }
+
+    /// Enqueues one encoded payload toward `peer` without ever blocking:
+    /// full queue (or oversized payload) ⇒ drop and count.
     fn enqueue(&self, peer: usize, payload: Bytes) {
         let Some(handle) = self.peers[peer].as_ref() else {
             return;
@@ -343,23 +346,17 @@ struct WriterSeat {
 /// one node's transport with [`TcpTransport::start`] for custom topologies
 /// (separate processes, real machines).
 pub struct TcpTransport<M> {
-    id: ProcessId,
-    n: usize,
-    opts: TcpOptions,
-    /// Send queues, indexed by peer; `None` at this node's own index.
-    peers: Vec<Option<PeerHandle>>,
+    /// The send path; [`TcpTransport::sender`] hands out clones of it.
+    sender: TcpSender<M>,
+    /// Per-peer writer threads, joined on drop.
+    writers: Vec<JoinHandle<()>>,
     dropped: Vec<Arc<AtomicU64>>,
     frames: Arc<AtomicU64>,
     messages: Arc<AtomicU64>,
-    /// Reused encode buffer: one payload encode per send/broadcast, zero
-    /// steady-state allocations besides the shared `Bytes` itself.
-    scratch: Vec<u8>,
-    inbound_tx: Sender<Inbound<M>>,
     inbound_rx: Receiver<Inbound<M>>,
     listener_addr: SocketAddr,
     listener: Option<JoinHandle<()>>,
     shared: Arc<NetShared>,
-    metrics: MetricsHandle,
 }
 
 impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
@@ -443,7 +440,8 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
         let messages = Arc::new(AtomicU64::new(0));
         let links_down = Arc::new(AtomicU64::new(0));
         let n = addrs.len();
-        let mut peers: Vec<Option<PeerHandle>> = Vec::with_capacity(n);
+        let mut peers: Vec<Option<PeerSend>> = Vec::with_capacity(n);
+        let mut writers = Vec::with_capacity(n);
         let mut dropped: Vec<Arc<AtomicU64>> = Vec::with_capacity(n);
         for (i, addr) in addrs.iter().enumerate() {
             let counter = Arc::new(AtomicU64::new(0));
@@ -470,32 +468,34 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
                 links_down: Arc::clone(&links_down),
                 metrics: metrics.clone(),
             };
-            let writer = std::thread::spawn(move || peer_writer(seat, rx));
-            peers.push(Some(PeerHandle {
+            writers.push(std::thread::spawn(move || peer_writer(seat, rx)));
+            peers.push(Some(PeerSend {
                 tx,
                 depth,
                 dropped: Arc::clone(&dropped[i]),
-                writer,
             }));
         }
 
         let control = inbound_tx.clone();
         Ok((
             TcpTransport {
-                id: my_id,
-                n,
-                opts,
-                peers,
+                sender: TcpSender {
+                    id: my_id,
+                    n,
+                    outbound_queue_frames: opts.outbound_queue_frames,
+                    peers,
+                    inbound_tx,
+                    encode_hint: 0,
+                    metrics,
+                },
+                writers,
                 dropped,
                 frames,
                 messages,
-                scratch: Vec::new(),
-                inbound_tx,
                 inbound_rx,
                 listener_addr,
                 listener: Some(listener_thread),
                 shared,
-                metrics,
             },
             control,
         ))
@@ -510,25 +510,7 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
     /// teardown-order contract). The transport keeps working unchanged;
     /// the sender feeds the same writer queues and inbound queue.
     pub fn sender(&self) -> TcpSender<M> {
-        TcpSender {
-            id: self.id,
-            n: self.n,
-            outbound_queue_frames: self.opts.outbound_queue_frames,
-            peers: self
-                .peers
-                .iter()
-                .map(|p| {
-                    p.as_ref().map(|h| PeerSend {
-                        tx: h.tx.clone(),
-                        depth: Arc::clone(&h.depth),
-                        dropped: Arc::clone(&h.dropped),
-                    })
-                })
-                .collect(),
-            inbound_tx: self.inbound_tx.clone(),
-            scratch: Vec::new(),
-            metrics: self.metrics.clone(),
-        }
+        self.sender.clone()
     }
 
     /// Handle to this node's send-side drop counters; clone it out before
@@ -540,60 +522,19 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
             messages: Arc::clone(&self.messages),
         }
     }
-
-    /// Enqueues one encoded payload toward `peer` without ever blocking:
-    /// full queue (or oversized payload) ⇒ drop and count.
-    fn enqueue(&self, peer: usize, payload: Bytes) {
-        let Some(handle) = self.peers[peer].as_ref() else {
-            return;
-        };
-        if payload.len() + FRAME_OVERHEAD + 8 > MAX_FRAME_LEN
-            || handle.depth.load(Ordering::Relaxed) >= self.opts.outbound_queue_frames
-        {
-            handle.dropped.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.send_drop_total.inc();
-            }
-            return;
-        }
-        let depth = handle.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(m) = self.metrics.get() {
-            m.writer_queue_depth_peak.set_max(depth as u64);
-        }
-        if handle.tx.send(payload).is_err() {
-            handle.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
 }
 
 impl<M: SimMessage + Encode + Decode> Transport<M> for TcpTransport<M> {
     fn send(&mut self, to: ProcessId, msg: M) {
-        if to == self.id {
-            // Self-delivery never touches a socket.
-            let _ = self.inbound_tx.send(Inbound::Peer(self.id, msg));
-            return;
-        }
-        encode_into(&msg, &mut self.scratch);
-        let payload = Bytes::copy_from_slice(&self.scratch);
-        self.enqueue(to.index(), payload);
+        self.sender.send(to, msg);
     }
 
     fn cluster_size(&self) -> usize {
-        self.n
+        self.sender.n
     }
 
     fn broadcast(&mut self, msg: M) {
-        // Encode-once: one canonical encoding shared (by reference count)
-        // across every peer's queue. The per-connection session MACs are
-        // computed over these same shared bytes by the writer threads.
-        encode_into(&msg, &mut self.scratch);
-        let payload = Bytes::copy_from_slice(&self.scratch);
-        for peer in 0..self.n {
-            if peer != self.id.index() {
-                self.enqueue(peer, payload.clone());
-            }
-        }
-        let _ = self.inbound_tx.send(Inbound::Peer(self.id, msg));
+        self.sender.broadcast(msg);
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Polled<M> {
@@ -620,15 +561,8 @@ impl<M> Drop for TcpTransport<M> {
         // Closing the queues lets each writer finish its current drain and
         // exit; a writer parked mid-dial observes the shutdown flag between
         // attempts (its connect itself is bounded by `connect_timeout`).
-        let handles: Vec<PeerHandle> = self.peers.iter_mut().filter_map(Option::take).collect();
-        let writers: Vec<JoinHandle<()>> = handles
-            .into_iter()
-            .map(|h| {
-                drop(h.tx);
-                h.writer
-            })
-            .collect();
-        for w in writers {
+        self.sender.peers.clear();
+        for w in self.writers.drain(..) {
             let _ = w.join();
         }
         // Wake the accept loop; it observes the flag and exits.

@@ -6,7 +6,7 @@ use std::time::Duration;
 use fastbft_core::message::{AckMsg, Message, SigShareMsg};
 use fastbft_core::payload::ack_payload;
 use fastbft_core::replica::Replica;
-use fastbft_crypto::KeyDirectory;
+use fastbft_crypto::{value_digest, KeyDirectory};
 use fastbft_runtime::spawn;
 use fastbft_sim::Actor;
 use fastbft_types::{Config, ProcessId, Value, View};
@@ -43,7 +43,7 @@ fn injected_acks_cannot_forge_decisions() {
                 ProcessId(from),
                 ProcessId(1),
                 Message::Ack(AckMsg {
-                    value: bogus.clone(),
+                    digest: *value_digest(&bogus),
                     view: View::FIRST,
                     share: None,
                 }),
@@ -56,7 +56,7 @@ fn injected_acks_cannot_forge_decisions() {
             ProcessId(from),
             ProcessId(1),
             Message::SigShare(SigShareMsg {
-                value: bogus.clone(),
+                digest: *value_digest(&bogus),
                 view: View::FIRST,
                 sig: pairs[0].sign(&ack_payload(&bogus, View::FIRST)), // signer p1 ≠ from
             }),

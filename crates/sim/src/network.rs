@@ -32,6 +32,9 @@ pub struct SendInfo {
     pub sent_at: SimTime,
     /// Per-execution sequence number of the send (unique, monotonic).
     pub seq: u64,
+    /// The message's kind label ([`SimMessage::kind`](crate::SimMessage::kind)),
+    /// so scripted schedules can single out one message type.
+    pub kind: &'static str,
 }
 
 /// How pre-GST delays are chosen.
@@ -153,6 +156,7 @@ mod tests {
             to: ProcessId(2),
             sent_at: SimTime(sent_at),
             seq: 0,
+            kind: "test",
         }
     }
 

@@ -200,6 +200,7 @@ impl<M: SimMessage> Simulation<M> {
             to,
             sent_at,
             seq: self.next_send_seq(),
+            kind: msg.kind(),
         };
         let deliver_at = self.network.delivery_time(&info, &mut self.rng);
         self.trace.push(
@@ -207,7 +208,7 @@ impl<M: SimMessage> Simulation<M> {
             TraceEvent::Send {
                 from,
                 to,
-                kind: msg.kind(),
+                kind: info.kind,
                 bytes: msg.wire_size(),
                 deliver_at,
             },

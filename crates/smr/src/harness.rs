@@ -2,7 +2,7 @@
 
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
-use fastbft_sim::{Network, SimDuration, SimTime, Simulation};
+use fastbft_sim::{Network, SimDuration, SimTime, Simulation, Trace};
 use fastbft_types::{Config, ProcessId, Value};
 
 use crate::machine::StateMachine;
@@ -298,6 +298,11 @@ impl<S: StateMachine + Clone + Send + 'static> SmrSimCluster<S> {
             .expect("SmrNode opts into as_any")
             .downcast_ref::<SmrNode<S>>()
             .expect("actor is an SmrNode")
+    }
+
+    /// The simulation trace so far (every send, with its kind and size).
+    pub fn trace(&self) -> &Trace {
+        self.sim.trace()
     }
 
     /// The cluster's protocol configuration.

@@ -1851,6 +1851,18 @@ impl<S: StateMachine> SmrNode<S> {
     }
 }
 
+/// Whether `msg` is an ack, share or `Commit` for `value`'s digest: its
+/// sender accepted `value` in that view, so it already holds the bytes.
+fn names_value(msg: &Message, value: &Value) -> bool {
+    let digest = match msg {
+        Message::Ack(a) => &a.digest,
+        Message::SigShare(s) => &s.digest,
+        Message::Commit(c) => &c.digest,
+        _ => return false,
+    };
+    digest == fastbft_crypto::value_digest(value)
+}
+
 impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
     fn on_start(&mut self, fx: &mut Effects<SlotMessage>) {
         self.open_slot(0, fx);
@@ -1869,8 +1881,15 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
                     // committed value; once f + 1 peers do, the hole
                     // closes ([`Self::on_backfill`]). One reply per
                     // inbound frame, so a spamming peer gains no
-                    // amplification.
+                    // amplification. An ack, share or `Commit` naming the
+                    // committed value's digest draws nothing: its sender
+                    // accepted that value, so it holds the bytes, and if
+                    // it is really stuck its view timer makes it wish,
+                    // which is answered.
                     if let Some(value) = self.committed_tail.get(&slot) {
+                        if names_value(&inner, value) {
+                            return;
+                        }
                         fx.send(
                             from,
                             SlotMessage::Backfill {

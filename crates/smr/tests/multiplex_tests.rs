@@ -145,7 +145,7 @@ fn slot_messages_roundtrip_on_the_wire() {
     fastbft_types::wire::roundtrip(&SlotMessage::Consensus {
         slot: u64::MAX,
         inner: Message::Ack(AckMsg {
-            value: Value::from_u64(77),
+            digest: *fastbft_crypto::value_digest(&Value::from_u64(77)),
             view: View::FIRST,
             share: None,
         }),

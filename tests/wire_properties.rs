@@ -2,9 +2,12 @@
 //! canonicity, and decoder robustness against arbitrary bytes.
 
 use fastbft::core::certs::{CommitCert, ProgressCert, SignedVote, VoteData};
-use fastbft::core::message::{AckMsg, CertAckMsg, Message, ProposeMsg, VoteMsg, WishMsg};
+use fastbft::core::message::{
+    AckMsg, CertAckMsg, CommitMsg, Message, ProposeMsg, SigShareMsg, ValueRequestMsg, VoteMsg,
+    WishMsg,
+};
 use fastbft::core::payload::propose_payload;
-use fastbft::crypto::KeyDirectory;
+use fastbft::crypto::{value_digest, KeyDirectory};
 use fastbft::types::wire::{from_bytes, to_bytes};
 use fastbft::types::{Config, Value, View};
 use proptest::prelude::*;
@@ -42,35 +45,49 @@ proptest! {
     fn message_roundtrip(value in arb_value(), view in 1u64..1000) {
         let (pairs, _) = KeyDirectory::generate(2, 1);
         let view = View(view);
+        let digest = *value_digest(&value);
+        let propose = ProposeMsg {
+            value: value.clone(),
+            view,
+            cert: ProgressCert::Genesis,
+            sig: pairs[0].sign(b"x"),
+        };
         let msgs = [
             Message::Ack(AckMsg {
-                value: value.clone(),
+                digest,
                 view,
                 share: None,
             }),
             // The piggybacked slow-path share (`Some` arm) is the only way
             // honest replicas transmit shares — it must round-trip too.
             Message::Ack(AckMsg {
-                value: value.clone(),
+                digest,
                 view,
                 share: Some(pairs[1].sign(b"share")),
             }),
-            Message::Wish(WishMsg { view }),
-            Message::Propose(ProposeMsg {
-                value: value.clone(),
+            Message::SigShare(SigShareMsg {
+                digest,
                 view,
-                cert: ProgressCert::Genesis,
-                sig: pairs[0].sign(b"x"),
+                sig: pairs[1].sign(b"share"),
             }),
+            Message::Commit(CommitMsg {
+                digest,
+                view,
+                sigs: pairs.iter().map(|p| p.sign(b"share")).collect(),
+            }),
+            Message::Wish(WishMsg { view }),
+            Message::Propose(propose.clone()),
             Message::CertAck(CertAckMsg {
                 view,
-                value: value.clone(),
+                digest,
                 sig: pairs[1].sign(b"y"),
             }),
             Message::Vote(VoteMsg {
                 view,
                 vote: SignedVote::sign(&pairs[0], None, view),
             }),
+            Message::ValueRequest(ValueRequestMsg { view }),
+            Message::ValueReply(propose),
         ];
         for msg in &msgs {
             let bytes = to_bytes(msg);
