@@ -5,18 +5,24 @@
 //!   peers: the old per-peer re-encode vs the pipeline's encode-once
 //!   (one encode into an owned buffer moved into `Bytes`, then
 //!   reference-counted clones).
+//! * `send_stream/*` — a node's real outbound mix (one proposal of 5 or
+//!   64 KiB, then three ~100 B acks) encoded three ways: into a reused scratch
+//!   buffer then copied into `Bytes`, into an empty `Vec` moved into
+//!   `Bytes`, and — the send pipeline's way — into a `Vec` that starts
+//!   with room for any digest-carried message, moved into `Bytes`.
 //! * `frame_mac/*` — the HMAC-SHA256 session MAC over frame payloads of
 //!   realistic sizes, including the amortized per-drain shape (one MAC
 //!   over a k-message batch vs k MACs over single messages).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fastbft_core::message::{AckMsg, Message};
+use fastbft_core::certs::ProgressCert;
+use fastbft_core::message::{AckMsg, Message, ProposeMsg};
 use fastbft_crypto::session::SessionMac;
 use fastbft_crypto::{value_digest, KeyDirectory};
 use fastbft_net::frame::encode_batch_payload;
 use fastbft_smr::SlotMessage;
-use fastbft_types::wire::{to_bytes, Encode};
+use fastbft_types::wire::{encode_into, to_bytes, Encode};
 use fastbft_types::{Value, View};
 
 fn ack(slot: u64) -> SlotMessage {
@@ -46,12 +52,10 @@ fn bench_broadcast_encode(c: &mut Criterion) {
             });
         });
         group.bench_function(format!("encode_once/n{n}"), |b| {
-            let hint = to_bytes(&msg).len();
             b.iter(|| {
-                // The pipeline's shape: one encoding into a buffer sized by
-                // the previous message, moved (not copied) into `Bytes`,
-                // then n − 1 Arc bumps.
-                let mut buf = Vec::with_capacity(hint);
+                // The pipeline's shape: one encoding into an owned buffer,
+                // moved (not copied) into `Bytes`, then n − 1 Arc bumps.
+                let mut buf = Vec::with_capacity(512);
                 std::hint::black_box(&msg).encode(&mut buf);
                 let shared = Bytes::from(buf);
                 let mut total = 0usize;
@@ -59,6 +63,66 @@ fn bench_broadcast_encode(c: &mut Criterion) {
                     total += shared.clone().len();
                 }
                 total
+            });
+        });
+    }
+    group.finish();
+}
+
+/// One slot's worth of a node's sends: a proposal of `size` bytes, then
+/// acks.
+fn send_stream(size: usize) -> Vec<SlotMessage> {
+    let (pairs, _) = KeyDirectory::generate(7, 2);
+    let proposal = SlotMessage::Consensus {
+        slot: 1,
+        inner: Message::Propose(ProposeMsg {
+            value: Value::new(vec![0xAB; size]),
+            view: View(1),
+            cert: ProgressCert::Genesis,
+            sig: pairs[0].sign(b"p"),
+        }),
+    };
+    vec![proposal, ack(1), ack(2), ack(3)]
+}
+
+fn bench_send_stream(c: &mut Criterion) {
+    let mut group = c.benchmark_group("send_stream");
+    for kib in [5usize, 64] {
+        let stream = send_stream(kib * 1024);
+        let total: usize = stream.iter().map(|m| to_bytes(m).len()).sum();
+        group.throughput(Throughput::Bytes(total as u64));
+        group.bench_function(format!("scratch_copy/{kib}KiB"), |b| {
+            let mut scratch = Vec::new();
+            b.iter(|| {
+                let mut len = 0;
+                for m in &stream {
+                    encode_into(std::hint::black_box(m), &mut scratch);
+                    len += std::hint::black_box(Bytes::copy_from_slice(&scratch)).len();
+                }
+                len
+            });
+        });
+        group.bench_function(format!("owned_fresh/{kib}KiB"), |b| {
+            b.iter(|| {
+                let mut len = 0;
+                for m in &stream {
+                    let mut buf = Vec::new();
+                    std::hint::black_box(m).encode(&mut buf);
+                    len += std::hint::black_box(Bytes::from(buf)).len();
+                }
+                len
+            });
+        });
+        group.bench_function(format!("owned_presized/{kib}KiB"), |b| {
+            b.iter(|| {
+                let mut len = 0;
+                for m in &stream {
+                    // The pipeline's shape (`TcpSender::encode`).
+                    let mut buf = Vec::with_capacity(512);
+                    std::hint::black_box(m).encode(&mut buf);
+                    len += std::hint::black_box(Bytes::from(buf)).len();
+                }
+                len
             });
         });
     }
@@ -99,5 +163,10 @@ fn bench_frame_mac(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_broadcast_encode, bench_frame_mac);
+criterion_group!(
+    benches,
+    bench_broadcast_encode,
+    bench_send_stream,
+    bench_frame_mac
+);
 criterion_main!(benches);

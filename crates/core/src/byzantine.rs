@@ -129,6 +129,18 @@ impl RandomByzantine {
         ProcessId(self.rng.gen_range(1..=n as u32))
     }
 
+    /// A view-`view` proposal of `value` under our own signature and a
+    /// Genesis certificate.
+    fn genesis_proposal(&self, value: Value, view: View) -> ProposeMsg {
+        let sig = self.keys.sign(&propose_payload(&value, view));
+        ProposeMsg {
+            value,
+            view,
+            cert: ProgressCert::Genesis,
+            sig,
+        }
+    }
+
     fn random_message(&mut self, n: usize) -> Message {
         let value = self.random_value();
         let digest = *value_digest(&value);
@@ -165,22 +177,10 @@ impl RandomByzantine {
                     .collect();
                 Message::Commit(CommitMsg { digest, view, sigs })
             }
-            4 | 8 => {
-                // A propose, or the same relayed as a value reply: only
-                // valid if we actually lead `view` and the certificate
-                // checks out (Genesis only works for view 1).
-                let sig = self.keys.sign(&propose_payload(&value, view));
-                let p = ProposeMsg {
-                    value,
-                    view,
-                    cert: ProgressCert::Genesis,
-                    sig,
-                };
-                if self.rng.gen_bool(0.5) {
-                    Message::Propose(p)
-                } else {
-                    Message::ValueReply(p)
-                }
+            4 => {
+                // A propose: only valid if we actually lead `view` and the
+                // certificate checks out (Genesis only works for view 1).
+                Message::Propose(self.genesis_proposal(value, view))
             }
             5 => {
                 // A nil vote for a random view — validly signed.
@@ -203,6 +203,11 @@ impl RandomByzantine {
                 let dest = View(vd.view.0 + 1);
                 let vote = SignedVote::sign(&self.keys, Some(vd), dest);
                 Message::Vote(VoteMsg { view: dest, vote })
+            }
+            8 => {
+                // The same, relayed as a value reply: receivers must check
+                // it like a proposal (leader signature, certificate, digest).
+                Message::ValueReply(self.genesis_proposal(value, view))
             }
             9 => Message::ValueRequest(ValueRequestMsg { view }),
             _ => {

@@ -212,11 +212,13 @@ pub struct TcpSender<M> {
     outbound_queue_frames: usize,
     peers: Vec<Option<PeerSend>>,
     inbound_tx: Sender<Inbound<M>>,
-    /// Capacity for the next encode: the previous message's length, so a
-    /// run of same-kind messages encodes without regrowing its buffer.
-    encode_hint: usize,
     metrics: MetricsHandle,
 }
+
+/// Initial capacity of an outbound encode buffer: room for any message
+/// that names its value by digest (acks, shares, a `Commit` with its
+/// share set), so only value-carrying messages ever regrow it.
+const ENCODE_CAPACITY: usize = 512;
 
 impl<M> Clone for TcpSender<M> {
     fn clone(&self) -> Self {
@@ -226,7 +228,6 @@ impl<M> Clone for TcpSender<M> {
             outbound_queue_frames: self.outbound_queue_frames,
             peers: self.peers.clone(),
             inbound_tx: self.inbound_tx.clone(),
-            encode_hint: 0,
             metrics: self.metrics.clone(),
         }
     }
@@ -240,7 +241,7 @@ impl<M: SimMessage + Encode> TcpSender<M> {
             let _ = self.inbound_tx.send(Inbound::Peer(self.id, msg));
             return;
         }
-        let payload = self.encode(&msg);
+        let payload = Self::encode(&msg);
         self.enqueue(to.index(), payload);
     }
 
@@ -251,7 +252,7 @@ impl<M: SimMessage + Encode> TcpSender<M> {
         // Encode-once: one canonical encoding shared (by reference count)
         // across every peer's queue. The per-connection session MACs are
         // computed over these same shared bytes by the writer threads.
-        let payload = self.encode(&msg);
+        let payload = Self::encode(&msg);
         for peer in 0..self.n {
             if peer != self.id.index() {
                 self.enqueue(peer, payload.clone());
@@ -267,10 +268,9 @@ impl<M: SimMessage + Encode> TcpSender<M> {
 
     /// Encodes `msg` into a buffer of its own that becomes the shared
     /// payload by a move (no copy out of a scratch buffer).
-    fn encode(&mut self, msg: &M) -> Bytes {
-        let mut buf = Vec::with_capacity(self.encode_hint);
+    fn encode(msg: &M) -> Bytes {
+        let mut buf = Vec::with_capacity(ENCODE_CAPACITY);
         msg.encode(&mut buf);
-        self.encode_hint = buf.len();
         Bytes::from(buf)
     }
 
@@ -485,7 +485,6 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
                     outbound_queue_frames: opts.outbound_queue_frames,
                     peers,
                     inbound_tx,
-                    encode_hint: 0,
                     metrics,
                 },
                 writers,
