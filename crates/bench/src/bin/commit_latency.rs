@@ -17,12 +17,16 @@
 //! * `n7_slow` — the same system with two seats replaced by silent
 //!   actors: only 5 live replicas remain, the fast quorum is unreachable
 //!   and the slow quorum (`⌈(n+f+1)/2⌉ = 5`) is exactly reachable, so
-//!   **every** decision is a 3-delay slow commit (slots first-led by a
-//!   silent seat additionally pay a view change, which the percentile
-//!   tail shows).
+//!   **every** decision is a 3-delay slow commit. A slot first-led by a
+//!   silent seat also needs a view change. Once a node has applied
+//!   `DEFAULT_PIPELINE_DEPTH` (16) slots it counts the dead seats as
+//!   silent and starts that view change the moment such a slot opens;
+//!   the slots opened before that wait out the full view timeout, and
+//!   those are what the percentile tail shows.
 //!
-//! `--json` switches the output to a machine-readable JSON object
-//! (`BENCH_latency.json` is a committed snapshot of it):
+//! `--json` switches the output to a machine-readable JSON object that
+//! also names the host (cores and CPU model); `BENCH_latency.json` is a
+//! committed snapshot of it:
 //!
 //! ```bash
 //! cargo run --release -p fastbft_bench --bin commit_latency -- --json
@@ -30,7 +34,7 @@
 
 use std::time::Duration;
 
-use fastbft_bench::{header, row};
+use fastbft_bench::{cpu_model, header, host_cores, row};
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
 use fastbft_obs::{Histogram, MetricsRegistry};
@@ -208,10 +212,12 @@ fn main() {
     if json {
         println!("{{");
         println!("  \"bench\": \"commit_latency\",");
-        println!("  \"version\": 1,");
+        println!("  \"version\": 2,");
         println!(
-            "  \"config\": {{\"commands\": {COMMANDS}, \"tick_us\": {}, \"batch\": 1}},",
-            TICK.as_micros()
+            "  \"config\": {{\"commands\": {COMMANDS}, \"tick_us\": {}, \"batch\": 1, \"host_cores\": {}, \"cpu_model\": {:?}}},",
+            TICK.as_micros(),
+            host_cores(),
+            cpu_model()
         );
         println!(
             "  \"unit_note\": \"per-slot open-to-decision latency in us, cluster-wide merge of per-replica histograms; quantiles are upper bounds within 1/16 relative error\","
@@ -272,6 +278,7 @@ fn main() {
     }
     println!("\nshape: the fast path decides in two message delays, the slow path in");
     println!("three — and with the fast quorum unreachable (n7_slow) the tail also");
-    println!("carries the view changes for slots first-led by a silent seat. (JSON");
-    println!("for tooling: rerun with --json; committed snapshot: BENCH_latency.json)");
+    println!("carries the view timeouts of slots first-led by a silent seat before");
+    println!("the seats count as silent. (JSON for tooling: rerun with --json;");
+    println!("committed snapshot: BENCH_latency.json)");
 }

@@ -468,7 +468,7 @@ fn main() {
     // are available. Verify pools use the replica default (cores − 1; 0 =
     // inline on a single-core runner).
     let verify_workers = ReplicaOptions::default_verify_workers();
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let host_cores = fastbft_bench::host_cores();
     let mut shard_results: Vec<(usize, TrialSet)> = Vec::new();
     for (i, shards) in shard_sweep_arg().into_iter().enumerate() {
         let seed = 1700 + (i * 10) as u64;

@@ -14,6 +14,25 @@ use fastbft_sim::SimDuration;
 /// The Δ used across the experiment binaries.
 pub const DELTA: SimDuration = SimDuration::DELTA;
 
+/// Cores this process may run on, as recorded in the `--json` snapshots.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// The host CPU's model name from `/proc/cpuinfo`, or `"unknown"` where
+/// that file is absent.
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Renders a markdown-style table row.
 pub fn row(cells: &[String]) -> String {
     format!("| {} |", cells.join(" | "))

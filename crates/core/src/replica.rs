@@ -948,6 +948,19 @@ impl Replica {
         }
     }
 
+    /// Wishes to move to `view`, or keeps a higher wish already sent, and
+    /// broadcasts it. This is the synchronizer's one way in: the view timer
+    /// wishes for the next view through it, and a caller that already knows
+    /// the current leader is silent (the SMR layer's slot-leader skip) can
+    /// wish for a later view the moment the instance starts. A wish only
+    /// *starts* a view change, which the protocol allows at any moment:
+    /// entering a view still takes `2f + 1` wishes.
+    pub fn wish(&mut self, view: View, fx: &mut Effects<Message>) {
+        let wish = self.my_wish.map_or(view, |mine| mine.max(view));
+        self.my_wish = Some(wish);
+        self.broadcast_wish(wish, fx);
+    }
+
     fn broadcast_wish(&mut self, view: View, fx: &mut Effects<Message>) {
         // Record our own wish immediately (our broadcast also reaches us,
         // but counting it now avoids an extra Δ of latency).
@@ -1014,13 +1027,7 @@ impl Actor<Message> for Replica {
             return; // nothing left to synchronize for
         }
         // Timeout: wish to move past the current view.
-        let target = self.view.next();
-        let wish = match self.my_wish {
-            Some(mine) if mine >= target => mine,
-            _ => target,
-        };
-        self.my_wish = Some(wish);
-        self.broadcast_wish(wish, fx);
+        self.wish(self.view.next(), fx);
         // Re-arm so we keep escalating if the next leader stalls too.
         self.arm_timer(fx);
     }
@@ -1536,6 +1543,46 @@ mod tests {
         );
         // Now we adopted the wish ourselves (counts as the third).
         assert_eq!(r.view(), View(5));
+    }
+
+    #[test]
+    fn early_wish_starts_a_view_change_without_entering_it() {
+        let (cfg, pairs, dir) = fixture(4, 1, 1);
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let mut buf = fx(1, 4);
+        r.on_start(&mut buf);
+        // Wishing straight past a silent view-1 leader broadcasts the wish
+        // but, alone, does not leave view 1.
+        let mut wished = fx(1, 4);
+        r.wish(View(3), &mut wished);
+        assert_eq!(r.view(), View::FIRST);
+        assert_eq!(r.my_wish, Some(View(3)));
+        let sent: Vec<View> = wished
+            .sent()
+            .into_iter()
+            .filter_map(|(_, m)| match m {
+                Message::Wish(w) => Some(w.view),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent, vec![View(3); 3]);
+        // A lower wish keeps the higher one, and so does the view-1
+        // timeout, which wishes through the same entry point.
+        let mut lower = fx(1, 4);
+        r.wish(View(2), &mut lower);
+        assert_eq!(r.my_wish, Some(View(3)));
+        let mut timed_out = fx(1, 4);
+        r.on_timer(TimerId(1), &mut timed_out);
+        assert_eq!(r.my_wish, Some(View(3)));
+        // Two more wishes make 2f + 1: the replica enters view 3.
+        for sender in [2u32, 3] {
+            r.on_message(
+                ProcessId(sender),
+                Message::Wish(WishMsg { view: View(3) }),
+                &mut buf,
+            );
+        }
+        assert_eq!(r.view(), View(3));
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub struct Metrics {
     pub batch_flush_timeout_total: Counter,
     pub ingress_shed_total: Counter,
     pub ingress_shed_bytes_total: Counter,
+    pub leader_skip_total: Counter,
     pub apply_offload_total: Counter,
     pub apply_queue_depth: Gauge,
     // runtime: the inbound verify/decode pool.
@@ -88,7 +89,7 @@ impl Metrics {
     }
 
     /// `(name, help, counter)` for every counter, in exposition order.
-    fn counters(&self) -> [(&'static str, &'static str, &Counter); 28] {
+    fn counters(&self) -> [(&'static str, &'static str, &Counter); 29] {
         [
             (
                 "commit_fast_total",
@@ -154,6 +155,11 @@ impl Metrics {
                 "ingress_shed_total",
                 "Client commands shed at ingress by the pending-queue budget.",
                 &self.ingress_shed_total,
+            ),
+            (
+                "leader_skip_total",
+                "Slots opened with an immediate wish past a silent view-1 leader.",
+                &self.leader_skip_total,
             ),
             (
                 "apply_offload_total",
@@ -723,6 +729,27 @@ mod tests {
         assert!(json.contains("\"fault_links_shaped\":4"));
         assert!(json.contains("\"send_drop_unreachable_total\":6"));
         assert!(json.contains("\"peer_links_down\":2"));
+    }
+
+    #[test]
+    fn leader_skip_exposition_shape() {
+        // The silent-leader skip counter is per replica, in both exporters,
+        // and its flight-recorder event rides the JSON dump.
+        let reg = MetricsRegistry::new(2);
+        reg.metrics(1).leader_skip_total.add(5);
+        reg.metrics(1).recorder.record(
+            "leader-skip",
+            "p2 slot 40: leader p7 silent (tip 3), wished view 3".into(),
+        );
+        let text = reg.render_text();
+        assert!(text.contains("# TYPE fastbft_leader_skip_total counter"));
+        assert!(text.contains("fastbft_leader_skip_total{replica=\"p1\"} 0"));
+        assert!(text.contains("fastbft_leader_skip_total{replica=\"p2\"} 5"));
+        let json = reg.render_json();
+        assert!(json.contains("\"leader_skip_total\":0"));
+        assert!(json.contains("\"leader_skip_total\":5"));
+        assert!(json.contains("leader p7 silent (tip 3), wished view 3"));
+        assert_eq!(reg.total(|m| &m.leader_skip_total), 5);
     }
 
     #[test]

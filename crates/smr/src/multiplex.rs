@@ -6,7 +6,7 @@
 //! the same command sequence — the replicated state machine of the paper's
 //! introduction.
 //!
-//! Four invariants beyond plain slot routing:
+//! Invariants and mechanisms beyond plain slot routing:
 //!
 //! * **At-most-once execution.** Commands a node proposes are moved into a
 //!   per-slot in-flight set (never re-proposed while a slot is pipelined),
@@ -55,6 +55,27 @@
 //!   committed suffix via quorum-matched [`SlotMessage::Backfill`] frames,
 //!   and resumes voting — so a partitioned or restarted replica rejoins
 //!   instead of stalling behind the stash horizon forever.
+//! * **Silent-leader skip.** First leadership rotates per slot, and slots
+//!   apply in order, so a crashed seat would make every slot it first-leads
+//!   wait out a whole view timeout — and nearly every command queues behind
+//!   one of those. When a node opens a slot whose view-1 leader is
+//!   *silent* (its peer tip — the highest slot it sent anything for —
+//!   trails this node's apply point by `DEFAULT_PIPELINE_DEPTH` slots), the
+//!   slot's replica immediately wishes for the first of the next `f` views
+//!   whose leader is not silent (adjacent dead seats are skipped together;
+//!   if all `f + 1` leaders look silent, nothing is skipped).
+//!
+//!   *Safety.* A wish only starts a view change, which the protocol allows
+//!   at any moment; entering a view still takes `2f + 1` wishes, and no
+//!   quorum, certificate or selection rule changes. *Liveness.* A wrongly
+//!   suspected seat costs at most the view change a timeout would have
+//!   triggered anyway: it keeps acking (and leading later views) while
+//!   suspected, and its next message refreshes its tip and clears the
+//!   suspicion. Suspicion is local, so the agreed leader schedule is
+//!   untouched and needs no agreement. Idle periods cannot trigger it: the
+//!   gap counts slots, not time. *Limit.* Only *silence* is detected: a
+//!   Byzantine seat that keeps acking but never proposes is never skipped
+//!   and still costs one view timeout per slot it first-leads.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::mem;
@@ -65,7 +86,7 @@ use fastbft_core::replica::{CommitPath, Replica, ReplicaOptions};
 use fastbft_crypto::{Digest, KeyDirectory, KeyPair, Signature};
 use fastbft_sim::{Actor, Effects, Outgoing, SimDuration, SimMessage, TimerId};
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
-use fastbft_types::{Config, ProcessId, Value};
+use fastbft_types::{Config, ProcessId, Value, View};
 
 use crate::apply::{ApplyJob, ApplyReply, ApplyStage, ApplyWorker};
 use crate::machine::StateMachine;
@@ -300,6 +321,14 @@ impl ClientDedup {
 /// the transport busy (frames from several slots coalesce into one write)
 /// without flooding the window when a slot stalls.
 const DEFAULT_PIPELINE_DEPTH: u64 = 16;
+
+/// A peer counts as *silent* once the highest slot it has sent anything
+/// for trails this node's apply point by at least this many slots (see
+/// [`SmrNode::first_live_view`]). It counts slots, not time, so an idle
+/// cluster never trips it; a correct peer that keeps up acks every slot
+/// and never trails by a whole default pipeline. Smaller gaps misfire on
+/// healthy peers whose acks for the newest slots are still in flight.
+const SILENCE_GAP: u64 = DEFAULT_PIPELINE_DEPTH;
 
 /// How many slots ahead of the lowest unapplied slot a node will
 /// instantiate replicas for. Messages beyond the window are buffered.
@@ -661,7 +690,8 @@ pub struct SmrNode<S: StateMachine> {
     /// at most one interval of values.
     committed_tail: BTreeMap<u64, Value>,
     /// Highest slot each peer has demonstrably worked on (from consensus
-    /// frame slot tags; transport-authenticated).
+    /// frame slot tags and checkpoint boundaries; transport-authenticated).
+    /// Read by the recovery trigger and by the silent-leader skip.
     peer_tips: HashMap<ProcessId, u64>,
     /// Whether a snapshot request is outstanding (cleared when the retry
     /// timer fires; prevents request spam while behind).
@@ -1102,9 +1132,11 @@ impl<S: StateMachine> SmrNode<S> {
         let input = self.input_for_slot(slot);
         // Rotate first-leadership across slots so every process's commands
         // get committed without waiting for a view change (fairness).
+        let cfg = self
+            .cfg
+            .with_leader_offset(slot.wrapping_add(self.leader_stagger));
         let mut replica = Replica::with_options(
-            self.cfg
-                .with_leader_offset(slot.wrapping_add(self.leader_stagger)),
+            cfg,
             self.keys.clone(),
             self.dir.clone(),
             input,
@@ -1112,6 +1144,28 @@ impl<S: StateMachine> SmrNode<S> {
         );
         let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
         replica.on_start(&mut inner);
+        // A silent first leader would cost the slot a whole view timeout:
+        // start the view change now instead.
+        if let Some(view) = self.first_live_view(&cfg) {
+            if let Some(m) = self.opts.metrics.get() {
+                let seat = cfg.leader(View::FIRST);
+                let tip = self
+                    .peer_tips
+                    .get(&seat)
+                    .map_or_else(|| "none".to_string(), u64::to_string);
+                m.leader_skip_total.inc();
+                m.recorder.record(
+                    "leader-skip",
+                    format!(
+                        "p{} slot {slot}: leader p{} silent (tip {tip}), wished view {}",
+                        self.keys.id().0,
+                        seat.0,
+                        view.0
+                    ),
+                );
+            }
+            replica.wish(view, &mut inner);
+        }
         self.slots.insert(slot, replica);
         // The open timestamp feeds the latency histograms *and* the
         // adaptive batcher's congestion signal, so it is kept whenever
@@ -1828,6 +1882,33 @@ impl<S: StateMachine> SmrNode<S> {
         if !self.recovery_armed && slot >= self.applied + RECOVERY_GAP {
             self.maybe_recover(fx);
         }
+    }
+
+    /// Whether `p` has sent nothing for the last [`SILENCE_GAP`] applied
+    /// slots (never this node itself; a peer never heard from has tip 0).
+    fn is_silent(&self, p: ProcessId) -> bool {
+        p != self.keys.id()
+            && self
+                .peer_tips
+                .get(&p)
+                .copied()
+                .unwrap_or(0)
+                .saturating_add(SILENCE_GAP)
+                <= self.applied
+    }
+
+    /// The silent-leader skip: when the view-1 leader of a slot opened
+    /// under `cfg` is silent, the first of the next `f` views whose leader
+    /// is not — the view to wish for the moment the slot opens. `None`
+    /// when view 1's leader is live, and also when every leader checked is
+    /// silent (more than `f` silent seats in a row means this node's tips
+    /// are stale, and the view timer is the safer guide).
+    fn first_live_view(&self, cfg: &Config) -> Option<View> {
+        let f = self.cfg.f() as u64;
+        let live = (1..=f + 1)
+            .map(View)
+            .find(|&v| !self.is_silent(cfg.leader(v)))?;
+        (live > View::FIRST).then_some(live)
     }
 
     /// The (f+1)-th largest peer-claimed tip: at least one *correct*
